@@ -14,6 +14,14 @@ euclidean (n, 0, 1) algebra on ``e0``.
 Coefficients are stored densely, ordered by (grade, bitmask).  The text
 form ``"1.5*e12 + 2.0*e0"`` round-trips exactly because coefficients are
 printed with ``repr``.
+
+The geometric, outer and left-contraction products share one kernel: form
+every coefficient pair, scale it by the product's float sign table (zero
+where the product drops the blade pair) and scatter-add it onto the result
+blade with ``np.bincount``.  Terms are added in i-major order, the order of
+a loop over the left operand's blades, and a zero term never changes a
+sum, so results are bitwise reproducible.  The dense einsum kernel behind
+``gp_dense`` is kept only as an independent check on the tables.
 """
 
 from __future__ import annotations
@@ -107,6 +115,7 @@ class Algebra:
         self.grades = np.array([popcount(m) for m in masks], dtype=np.int8)
         self.names = tuple(self._name(m) for m in masks)
 
+        self._cache = {}  # see cached()
         self._build_tables()
         if d <= ASSOC_CHECK_LIMIT:
             self._check_associative()
@@ -138,6 +147,14 @@ class Algebra:
                 if a & b == 0:
                     self.outer_sign[i, j] = reorder_sign(a, b)
 
+        # float sign tables for the shared product kernel
+        g = self.grades
+        self.result_flat = self.result.ravel().astype(np.intp)
+        self.gp_table = self.sign.astype(float)
+        self.outer_table = self.outer_sign.astype(float)
+        self.contract_table = np.where(
+            g[self.result] == g[None, :] - g[:, None], self.gp_table, 0.0)
+
         k = self.grades.astype(np.int64)
         self.reverse_sign = np.where(k * (k - 1) // 2 % 2, -1, 1).astype(np.int8)
         self.involute_sign = np.where(k % 2, -1, 1).astype(np.int8)
@@ -148,32 +165,32 @@ class Algebra:
             count = sum(1 for x in self.grades if x == g)
             self.grade_slice.append(slice(start, start + count))
             start += count
-        self._cayley = None  # dense 3D kernel, built on first use
 
     def _check_associative(self):
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                sij, pij = self.sign[i, j], self.result[i, j]
-                for k in range(n):
-                    left = sij * self.sign[pij, k]
-                    sjk, pjk = self.sign[j, k], self.result[j, k]
-                    right = sjk * self.sign[i, pjk]
-                    if left != right or self.result[pij, k] != self.result[i, pjk]:
-                        raise GAError(
-                            f"product table not associative at blades {i},{j},{k}"
-                        )
+        """Compare (ij)k with i(jk) on every blade triple at once."""
+        s, r = self.sign, self.result
+        left_sign, left = s[:, :, None] * s[r], r[r]
+        right_sign, right = s[None, :, :] * s[:, r], r[:, r]
+        bad = np.argwhere((left_sign != right_sign) | (left != right))
+        if bad.size:
+            i, j, k = bad[0]  # argwhere scans in lexicographic order
+            raise GAError(f"product table not associative at blades {i},{j},{k}")
+
+    def cached(self, build, *args):
+        """Per-algebra table ``build(self, *args)``, built on first use.
+
+        Modules that derive their own tables from this algebra keep them
+        here, keyed by the builder and its arguments.
+        """
+        key = (build, args)
+        if key not in self._cache:
+            self._cache[key] = build(self, *args)
+        return self._cache[key]
 
     @property
     def cayley(self) -> np.ndarray:
         """Dense (size, size, size) kernel for the einsum product path."""
-        if self._cayley is None:
-            c = np.zeros((self.size, self.size, self.size))
-            for i in range(self.size):
-                for j in range(self.size):
-                    c[i, j, self.result[i, j]] = self.sign[i, j]
-            self._cayley = c
-        return self._cayley
+        return self.cached(_cayley)
 
     # -- multivector factories -------------------------------------------
 
@@ -285,6 +302,13 @@ class Algebra:
         return f"Algebra({tag}{s.p},{s.q},{s.r})"
 
 
+def _cayley(alg: Algebra) -> np.ndarray:
+    c = np.zeros((alg.size, alg.size, alg.size))
+    i = np.arange(alg.size)
+    c[i[:, None], i[None, :], alg.result] = alg.sign
+    return c
+
+
 @lru_cache(maxsize=None)
 def build_algebra(signature: Signature) -> Algebra:
     return Algebra(signature)
@@ -359,24 +383,19 @@ class Multivector:
 
     # -- products ----------------------------------------------------------
 
-    def gp(self, other: "Multivector") -> "Multivector":
-        """Geometric product via the integer tables.
-
-        Iterates nonzero coefficient pairs in position order, which keeps
-        results deterministic run to run.
-        """
+    def _product(self, other: "Multivector", table: np.ndarray) -> "Multivector":
         other = self._peer(other)
         alg = self.algebra
-        out = np.zeros(alg.size)
-        a, b = self.coeffs, other.coeffs
-        bi = np.flatnonzero(b)
-        if bi.size == 0:
-            return Multivector(alg, out)
-        bv = b[bi]
-        for i in np.flatnonzero(a):
-            # result masks are distinct for fixed i, so fancy += is safe
-            out[alg.result[i, bi]] += a[i] * alg.sign[i, bi] * bv
-        return Multivector(alg, out)
+        # (a_i * sign) * b_j, the loop's own order: a zero sign gives 0,
+        # not inf * 0, when a_i * b_j alone would overflow
+        terms = self.coeffs[:, None] * table
+        terms *= other.coeffs
+        return Multivector(alg, np.bincount(alg.result_flat, weights=terms.ravel(),
+                                            minlength=alg.size))
+
+    def gp(self, other: "Multivector") -> "Multivector":
+        """Geometric product via the multiplication tables."""
+        return self._product(other, self.algebra.gp_table)
 
     def gp_dense(self, other: "Multivector") -> "Multivector":
         """Same product through the dense einsum kernel (bench path)."""
@@ -387,34 +406,11 @@ class Multivector:
         )
 
     def outer(self, other: "Multivector") -> "Multivector":
-        other = self._peer(other)
-        alg = self.algebra
-        out = np.zeros(alg.size)
-        a, b = self.coeffs, other.coeffs
-        bi = np.flatnonzero(b)
-        if bi.size == 0:
-            return Multivector(alg, out)
-        bv = b[bi]
-        for i in np.flatnonzero(a):
-            out[alg.result[i, bi]] += a[i] * alg.outer_sign[i, bi] * bv
-        return Multivector(alg, out)
+        return self._product(other, self.algebra.outer_table)
 
     def left_contract(self, other: "Multivector") -> "Multivector":
         """Lower-onto-higher inner product: grade k-j part of each blade pair."""
-        other = self._peer(other)
-        alg = self.algebra
-        out = np.zeros(alg.size)
-        a, b = self.coeffs, other.coeffs
-        ga, gr = alg.grades, alg.result
-        bi = np.flatnonzero(b)
-        if bi.size == 0:
-            return Multivector(alg, out)
-        for i in np.flatnonzero(a):
-            keep = ga[gr[i, bi]] == ga[bi] - ga[i]
-            sel = bi[keep]
-            if sel.size:
-                out[gr[i, sel]] += a[i] * alg.sign[i, sel] * b[sel]
-        return Multivector(alg, out)
+        return self._product(other, self.algebra.contract_table)
 
     def commutator(self, other: "Multivector") -> "Multivector":
         other = self._peer(other)

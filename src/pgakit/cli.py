@@ -452,7 +452,9 @@ def _fail(message: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # non-finite values are reported as errors, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SceneError as e:
         _fail(str(e))
         return 2

@@ -23,9 +23,7 @@ from .algebra import Algebra, GAError, Multivector, popcount, reorder_sign
 
 
 def _tables(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
-    cached = getattr(alg, "_dual_tables", None)
-    if cached is not None:
-        return cached
+    """Complement partner and sign of every blade; read via ``alg.cached``."""
     full = alg.size - 1
     partner = np.zeros(alg.size, dtype=np.int32)
     sign = np.zeros(alg.size, dtype=np.int8)
@@ -37,13 +35,12 @@ def _tables(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
             sign[pos] = reorder_sign(mask, comp)
         else:
             sign[pos] = reorder_sign(comp, mask)
-    alg._dual_tables = (partner, sign)
-    return alg._dual_tables
+    return partner, sign
 
 
 def j_map(x: Multivector) -> Multivector:
     """Grade-reversing complement; metric-free and involutive."""
-    partner, sign = _tables(x.algebra)
+    partner, sign = x.algebra.cached(_tables)
     out = np.zeros(x.algebra.size)
     out[partner] = sign * x.coeffs
     return Multivector(x.algebra, out)

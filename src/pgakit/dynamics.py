@@ -40,12 +40,9 @@ def _require_rigid(alg: Algebra):
         raise GeometryError("rigid body motion needs the 3D dual algebra")
 
 
-def _generator_basis(alg: Algebra) -> np.ndarray:
+def _generator_basis(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
     """Rows: bivector coefficients of the six unit motions, in the order
-    (turn about x, y, z, slide along x, y, z)."""
-    cached = getattr(alg, "_motion_rows", None)
-    if cached is not None:
-        return cached
+    (turn about x, y, z, slide along x, y, z); and the inverse map."""
     sl = alg.grade_slice[2]
     rows = np.zeros((6, 6))
     for i in range(3):
@@ -54,9 +51,7 @@ def _generator_basis(alg: Algebra) -> np.ndarray:
         rows[i] = axis_line(alg, [0.0, 0.0, 0.0], axis).coeffs[sl]
         # a unit slide: exp of half the generator translates by one unit
         rows[3 + i] = -2.0 * _ideal_blade(alg, i).coeffs[sl]
-    alg._motion_rows = rows
-    alg._motion_inverse = np.linalg.inv(rows.T)
-    return rows
+    return rows, np.linalg.inv(rows.T)
 
 
 def _ideal_blade(alg: Algebra, i: int) -> Multivector:
@@ -68,7 +63,7 @@ def bivector_from_vectors(alg: Algebra, angular, linear) -> Multivector:
     coordinate axes) and linear part.  Works for velocities and momenta
     alike; the two live in the same six slots."""
     _require_rigid(alg)
-    rows = _generator_basis(alg)
+    rows, _ = alg.cached(_generator_basis)
     packed = np.concatenate([np.asarray(angular, float),
                              np.asarray(linear, float)])
     if packed.shape != (6,):
@@ -84,8 +79,8 @@ def vectors_from_bivector(b: Multivector) -> tuple[np.ndarray, np.ndarray]:
     _require_rigid(alg)
     if not (b.is_zero() or significant_grades(b) == (2,)):
         raise GeometryError("expected a bivector")
-    _generator_basis(alg)
-    packed = alg._motion_inverse @ b.coeffs[alg.grade_slice[2]]
+    _, inverse = alg.cached(_generator_basis)
+    packed = inverse @ b.coeffs[alg.grade_slice[2]]
     return packed[:3].copy(), packed[3:].copy()
 
 
@@ -108,24 +103,7 @@ class InertiaOperator:
 
     def _diag(self, alg: Algebra) -> np.ndarray:
         _require_rigid(alg)
-        cached = getattr(alg, "_inertia_diags", None)
-        if cached is None:
-            cached = {}
-            alg._inertia_diags = cached
-        key = (self.moments, self.mass)
-        diag = cached.get(key)
-        if diag is None:
-            sl = alg.grade_slice[2]
-            diag = np.zeros(6)
-            for i, name in enumerate(alg.names[sl]):
-                if "0" in name:
-                    diag[i] = self.mass
-                else:
-                    # e23 turns about x, e13 about y, e12 about z
-                    axis = {"e23": 0, "e13": 1, "e12": 2}[name]
-                    diag[i] = self.moments[axis]
-            cached[key] = diag
-        return diag
+        return alg.cached(_inertia_diag, self.moments, self.mass)
 
     def apply(self, velocity: Multivector) -> Multivector:
         """Momentum bivector of a velocity bivector."""
@@ -141,6 +119,17 @@ class InertiaOperator:
         sl = alg.grade_slice[2]
         out[sl] = momentum.coeffs[sl] / self._diag(alg)
         return Multivector(alg, out)
+
+
+def _inertia_diag(alg: Algebra, moments: tuple, mass: float) -> np.ndarray:
+    diag = np.zeros(6)
+    for i, name in enumerate(alg.names[alg.grade_slice[2]]):
+        if "0" in name:
+            diag[i] = mass
+        else:
+            # e23 turns about x, e13 about y, e12 about z
+            diag[i] = moments[{"e23": 0, "e13": 1, "e12": 2}[name]]
+    return diag
 
 
 @dataclass(frozen=True)
@@ -212,18 +201,14 @@ def integrate(state: BodyState, inertia: InertiaOperator, h: float,
 
 
 def _even_positions(alg: Algebra) -> np.ndarray:
-    cached = getattr(alg, "_even_positions", None)
-    if cached is None:
-        cached = np.flatnonzero(alg.grades % 2 == 0)
-        alg._even_positions = cached
-    return cached
+    return np.flatnonzero(alg.grades % 2 == 0)
 
 
 def csv_row(t: float, state: BodyState, inertia: InertiaOperator) -> str:
     alg = state.pose.algebra
     sl = alg.grade_slice[2]
     fields = [t]
-    fields.extend(state.pose.coeffs[_even_positions(alg)])
+    fields.extend(state.pose.coeffs[alg.cached(_even_positions)])
     fields.extend(state.momentum.coeffs[sl])
     fields.append(energy(state, inertia))
     fields.extend(spatial_momentum(state).coeffs[sl])

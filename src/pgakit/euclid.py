@@ -65,15 +65,22 @@ def plane(alg: Algebra, *coeffs: float) -> Multivector:
 
 
 def point(alg: Algebra, *coords: float) -> Multivector:
-    """Weight-one point as the meet of the n axis-aligned planes through it."""
+    """Weight-one point: the meet of the n axis-aligned planes through it.
+
+    The wedge of the planes ``e_i - x_i e0`` has 1 on the volume blade and
+    ``(-1)^i x_i`` on the blade lacking ``e_i``, written here directly;
+    ``+ 0.0`` turns -0.0 into +0.0 as the wedge's sums do.
+    """
     n = euclidean_dim(alg)
     if len(coords) != n:
         raise GeometryError(f"expected {n} coordinates, got {len(coords)}")
-    mv = None
-    for i, c in enumerate(coords, start=1):
-        factor = alg.blade(f"e{i}") - alg.blade("e0", float(c))
-        mv = factor if mv is None else mv ^ factor
-    return mv
+    full = alg.size - 1
+    c = np.zeros(alg.size)
+    c[alg.pos_of[full ^ 1]] = 1.0
+    for i, x in enumerate(coords, start=1):
+        x = float(x)
+        c[alg.pos_of[full ^ 1 << i]] = (-x if i % 2 else x) + 0.0
+    return Multivector(alg, c)
 
 
 def origin(alg: Algebra) -> Multivector:
@@ -105,16 +112,12 @@ def euclidean_norm(x: Multivector) -> float:
 def ideal_norm(x: Multivector) -> float:
     """Euclidean size of the e0-carrying complement part."""
     _require_dual(x.algebra)
-    part = x.coeffs[_ideal_mask(x.algebra)]
+    part = x.coeffs[x.algebra.cached(_ideal_mask)]
     return math.sqrt(float(part @ part))
 
 
 def _ideal_mask(alg: Algebra) -> np.ndarray:
-    cached = getattr(alg, "_ideal_positions", None)
-    if cached is None:
-        cached = np.array([bool(m & 1) for m in alg.mask_of])
-        alg._ideal_positions = cached
-    return cached
+    return np.array([bool(m & 1) for m in alg.mask_of])
 
 
 def is_ideal(x: Multivector, tol: float = NORMALIZED_TOL) -> bool:
@@ -146,18 +149,15 @@ def point_coords(p: Multivector) -> np.ndarray:
     w = weight(p)
     if abs(w) <= NORMALIZED_TOL * max(1.0, p.norm()):
         raise GeometryError("ideal point has no cartesian coordinates")
-    return _coord_table(p.algebra) @ p.coeffs / w
+    return p.algebra.cached(_coord_table) @ p.coeffs / w
 
 
 def ideal_direction(p: Multivector) -> np.ndarray:
     """Direction vector packed in an ideal point (a weight-zero point)."""
-    return _coord_table(p.algebra) @ p.coeffs
+    return p.algebra.cached(_coord_table) @ p.coeffs
 
 
 def _coord_table(alg: Algebra) -> np.ndarray:
-    cached = getattr(alg, "_coord_rows", None)
-    if cached is not None:
-        return cached
     n = euclidean_dim(alg)
     base = origin(alg)
     rows = np.zeros((n, alg.size))
@@ -166,7 +166,6 @@ def _coord_table(alg: Algebra) -> np.ndarray:
         unit[i] = 1.0
         diff = point(alg, *unit) - base  # single +-1 entry on one ideal blade
         rows[i] = diff.coeffs
-    alg._coord_rows = rows
     return rows
 
 

@@ -23,8 +23,11 @@ anything that needs a sum is built in code and bound to a name.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .algebra import Algebra, GAError, Multivector
 from .duality import j_map, join, polarity
@@ -195,8 +198,11 @@ class _Parser:
     def primary(self) -> Node:
         t = self.here
         if t.kind == "number":
+            value = float(t.text)
+            if not math.isfinite(value):
+                self.fail(f"number {t.text!r} is out of range")
             self.advance()
-            return Num(float(t.text), line=t.line, col=t.col)
+            return Num(value, line=t.line, col=t.col)
         if t.kind == "blade":
             self.advance()
             return Blade(t.text, line=t.line, col=t.col)
@@ -229,6 +235,15 @@ def parse(src: str) -> Node:
 
 
 def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector:
+    """Value of ``node``; fails at the first subexpression that is not finite."""
+    value = _value(node, alg, env)
+    if not np.isfinite(value.coeffs).all():
+        raise EvalError(f"line {node.line}, column {node.col}: "
+                        "value is not finite")
+    return value
+
+
+def _value(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector:
     if isinstance(node, Num):
         return alg.scalar(node.value)
     if isinstance(node, Blade):

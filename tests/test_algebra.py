@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pgakit import algebra as ga
 from pgakit.algebra import AlgebraMismatch, GAError, Signature, SignatureError
 
-from bruteforce import blade_of_mask, multiply_blades
+from bruteforce import blade_of_mask, mask_of_blade, multiply_blades
 from conftest import random_mv
 
 ASSOC_TOL = 1e-12
@@ -64,27 +64,78 @@ def test_gp_blade_examples(pga3):
     assert (ps * ps).is_zero()  # degenerate pseudoscalar squares to zero
 
 
+def _brute_product(kind, a, b, metric):
+    """(sign, blade) of one blade pair under gp, outer or left_contract."""
+    sign, blade = multiply_blades(a, b, metric)
+    if kind == "outer" and set(a) & set(b):
+        return 0, ()
+    if kind == "left_contract" and len(blade) != len(b) - len(a):
+        return 0, ()
+    return sign, blade
+
+
+PRODUCTS = ("gp", "outer", "left_contract")
+
+
 def test_brute_force_agreement_all_small_signatures():
     for sig in ALL_SMALL_SIGNATURES:
         alg = ga.build_algebra(sig)
         metric = dict(enumerate(alg.metric))
         for i, ma in enumerate(alg.mask_of):
             for j, mb in enumerate(alg.mask_of):
-                want_sign, want_blade = multiply_blades(
-                    blade_of_mask(ma), blade_of_mask(mb), metric
-                )
-                got = alg.blade(alg.names[i]) * alg.blade(alg.names[j])
-                if want_sign == 0:
-                    assert got.is_zero(), (sig, alg.names[i], alg.names[j])
-                else:
-                    idx = alg.pos_of[sum(1 << g for g in want_blade)]
-                    expect = np.zeros(alg.size)
-                    expect[idx] = want_sign
-                    assert np.array_equal(got.coeffs, expect), (
-                        sig,
-                        alg.names[i],
-                        alg.names[j],
+                x, y = alg.blade(alg.names[i]), alg.blade(alg.names[j])
+                for kind in PRODUCTS:
+                    want_sign, want_blade = _brute_product(
+                        kind, blade_of_mask(ma), blade_of_mask(mb), metric
                     )
+                    got = getattr(x, kind)(y)
+                    where = (sig, kind, alg.names[i], alg.names[j])
+                    if want_sign == 0:
+                        assert got.is_zero(), where
+                    else:
+                        idx = alg.pos_of[mask_of_blade(want_blade)]
+                        expect = np.zeros(alg.size)
+                        expect[idx] = want_sign
+                        assert np.array_equal(got.coeffs, expect), where
+
+
+def test_products_sum_in_i_major_order(pga2, pga3, cga3, rng):
+    # the kernel must add the blade-pair terms in the order of a loop over
+    # the left operand's blades: CSV reruns and check's array_equal rely on it
+    for alg in (pga2, pga3, cga3):
+        metric = dict(enumerate(alg.metric))
+        blades = [blade_of_mask(m) for m in alg.mask_of]
+        for kind in PRODUCTS:
+            terms = []
+            for i, a in enumerate(blades):
+                for j, b in enumerate(blades):
+                    sign, blade = _brute_product(kind, a, b, metric)
+                    if sign:
+                        terms.append((i, j, sign, alg.pos_of[mask_of_blade(blade)]))
+            for _ in range(10):
+                x, y = random_mv(alg, rng), random_mv(alg, rng)
+                want = np.zeros(alg.size)
+                for i, j, sign, k in terms:
+                    want[k] += sign * (x.coeffs[i] * y.coeffs[j])
+                got = getattr(x, kind)(y).coeffs
+                assert np.array_equal(got, want), (alg, kind)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (alg, kind)
+
+
+def test_associativity_check_fires_on_a_corrupt_table():
+    alg = ga.Algebra(Signature(3, 0, 0))
+    alg.sign[3, 5] = -alg.sign[3, 5]
+    s, r = alg.sign, alg.result
+    first = next(
+        (i, j, k)
+        for i in range(alg.size)
+        for j in range(alg.size)
+        for k in range(alg.size)
+        if s[i, j] * s[r[i, j], k] != s[j, k] * s[i, r[j, k]]
+        or r[r[i, j], k] != r[i, r[j, k]]
+    )
+    with pytest.raises(GAError, match="not associative at blades %d,%d,%d" % first):
+        alg._check_associative()
 
 
 @settings(max_examples=40, deadline=None)

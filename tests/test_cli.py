@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,17 @@ class TestConstruct:
         assert "e0" in out
         assert "incident:" in out
 
+    def test_non_finite_result_is_domain_error(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {"entities": {
+            "P": {"type": "point", "coords": [1, 0, 0]}}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["construct", "--scene", path,
+                         "P * 1e300 * 1e300"]) == 1
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert "result:" not in captured.out
+
     def test_parse_error_is_domain_error(self, tmp_path, capsys):
         path = write_scene(tmp_path, {"entities": {}})
         code = main(["construct", "--scene", path, "( P"])
@@ -127,6 +139,19 @@ class TestEval:
     def test_unbound_name(self, capsys):
         assert main(["eval", "missing * e1"]) == 1
         assert "unbound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, message", [
+        ("e0 * 1e400", "column 6: number '1e400' is out of range"),
+        ("e0 * 1e300 * 1e300", "column 12: value is not finite"),
+    ])
+    def test_non_finite_is_domain_error(self, capsys, source, message):
+        # a numpy warning raised as an error would escape main
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", source]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "inf" not in captured.out and "nan" not in captured.out
 
 
 class TestSimulate:

@@ -44,6 +44,20 @@ class TestConstructors:
         assert weight(p) == 1.0
         assert np.allclose(point_coords(p), [-3.0, 7.5], atol=1e-14)
 
+    def test_point_is_bitwise_the_wedge_of_planes(self, pga2, pga3, rng):
+        for alg in (pga2, pga3):
+            n = alg.gens - 1
+            cases = [rng.uniform(-50, 50, n) for _ in range(200)]
+            cases += [rng.choice([0.0, -0.0, 1.5, -2.0], n) for _ in range(50)]
+            for coords in cases:
+                wedge = alg.scalar(1.0)
+                for i, c in enumerate(coords, start=1):
+                    wedge = wedge ^ (alg.blade(f"e{i}") - alg.blade("e0", c))
+                got = point(alg, *coords).coeffs
+                assert np.array_equal(got, wedge.coeffs), coords
+                assert np.array_equal(np.signbit(got),
+                                      np.signbit(wedge.coeffs)), coords
+
     @settings(max_examples=60, deadline=None)
     @given(x=COORDS, y=COORDS, z=COORDS)
     def test_point_coords_inverse(self, x, y, z):

@@ -75,6 +75,11 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("")
 
+    def test_non_finite_literal_refused(self):
+        with pytest.raises(ParseError, match="out of range") as err:
+            parse("e0 *\n 1e400")
+        assert err.value.line == 2 and err.value.col == 2
+
 
 names = st.sampled_from(["a", "b", "g", "P", "Pi", "x_1"]).map(Name)
 blades = st.sampled_from(["e0", "e1", "e12", "e012"]).map(Blade)
@@ -150,6 +155,14 @@ class TestEvaluation:
     def test_unknown_blade(self, pga3):
         with pytest.raises(EvalError, match="no blade 'e9'"):
             evaluate(parse("e9"), pga3, {})
+
+    def test_non_finite_value_refused(self, pga3):
+        with np.errstate(all="ignore"):
+            with pytest.raises(EvalError, match="column 12: value is not finite"):
+                evaluate(parse("e1 * 1e300 * 1e300 ^ e2"), pga3, {})
+            with pytest.raises(EvalError, match="column 1: value is not finite"):
+                evaluate(parse("big * e1"), pga3,
+                         {"big": pga3.scalar(float("inf"))})
 
     def test_algebra_mismatch(self, pga3, cga3):
         env = {"q": cga3.scalar(2.0)}
