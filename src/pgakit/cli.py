@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -99,10 +100,19 @@ def _build_entity(alg: Algebra, model: str, name: str, block) -> Multivector:
                      f" in a {model} scene")
 
 
+def _finite(token: str) -> str:
+    """JSON number hook: NaN, Infinity and literals past the float range."""
+    if not math.isfinite(float(token)):
+        raise SceneError(f"scene number {token} is not finite")
+    return token
+
+
 def load_scene(path: str) -> Scene:
     try:
         with open(path) as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_float=lambda t: float(_finite(t)),
+                            parse_int=lambda t: int(_finite(t)),
+                            parse_constant=_finite)
     except OSError as e:
         raise SceneError(f"cannot read scene: {e}") from None
     except json.JSONDecodeError as e:
@@ -168,7 +178,9 @@ def _dynamics_setup(scene: Scene, args):
         raise SceneError("step size h must be positive")
     if steps < 1:
         raise SceneError("step count must be at least 1")
-    renormalize = bool(block.get("renormalize", True))
+    renormalize = block.get("renormalize", True)
+    if not isinstance(renormalize, bool):
+        raise SceneError("'renormalize' must be true or false")
     if args.no_renormalize:
         renormalize = False
     return dynamics.BodyState(pose, momentum), inertia, h, steps, renormalize
@@ -233,9 +245,9 @@ def cmd_eval(args) -> int:
         scene = load_scene(args.scene)
     else:
         scene = Scene(pga(3), "pga", {}, None)
-    print(_banner(scene))
     result = dsl.evaluate(dsl.parse(args.expression), scene.algebra,
                           scene.entities)
+    print(_banner(scene))
     print(result)
     return 0
 

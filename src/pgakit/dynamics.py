@@ -12,21 +12,20 @@ constant; both invariants are what the long-run integration tests pin.
 
 The inertia map acts slot by slot on bivector coefficients: rotational
 moments on the euclidean slots (about the body x, y, z axes), the total
-mass on the ideal slots.  Velocity-to-vector conversions go through the
-joined axis lines themselves, so no orientation signs are hard-coded
-here; they are wherever the join puts them.
+mass on the ideal slots.  Which slot carries which unit motion, and with
+which sign, is read off the joined axis lines in ``_generator_basis``
+alone; no orientation signs are hard-coded here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
 import numpy as np
 
-from .algebra import Algebra, Multivector
-from .euclid import GeometryError, significant_grades
+from .algebra import Algebra, Multivector, cga, pga
+from .euclid import GeometryError, euclidean_norm, significant_grades
 from .motors import axis_line
 
 CSV_HEADER = (
@@ -40,9 +39,10 @@ def _require_rigid(alg: Algebra):
         raise GeometryError("rigid body motion needs the 3D dual algebra")
 
 
-def _generator_basis(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
+def _generator_basis(alg: Algebra) -> np.ndarray:
     """Rows: bivector coefficients of the six unit motions, in the order
-    (turn about x, y, z, slide along x, y, z); and the inverse map."""
+    (turn about x, y, z, slide along x, y, z).  They form a signed
+    permutation, so the matrix is its own inverse transpose."""
     sl = alg.grade_slice[2]
     rows = np.zeros((6, 6))
     for i in range(3):
@@ -50,12 +50,8 @@ def _generator_basis(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
         axis[i] = 1.0
         rows[i] = axis_line(alg, [0.0, 0.0, 0.0], axis).coeffs[sl]
         # a unit slide: exp of half the generator translates by one unit
-        rows[3 + i] = -2.0 * _ideal_blade(alg, i).coeffs[sl]
-    return rows, np.linalg.inv(rows.T)
-
-
-def _ideal_blade(alg: Algebra, i: int) -> Multivector:
-    return alg.blade(f"e0{i + 1}", 0.5)
+        rows[3 + i] = -alg.blade(f"e0{i + 1}").coeffs[sl]
+    return rows
 
 
 def bivector_from_vectors(alg: Algebra, angular, linear) -> Multivector:
@@ -63,7 +59,7 @@ def bivector_from_vectors(alg: Algebra, angular, linear) -> Multivector:
     coordinate axes) and linear part.  Works for velocities and momenta
     alike; the two live in the same six slots."""
     _require_rigid(alg)
-    rows, _ = alg.cached(_generator_basis)
+    rows = alg.cached(_generator_basis)
     packed = np.concatenate([np.asarray(angular, float),
                              np.asarray(linear, float)])
     if packed.shape != (6,):
@@ -79,8 +75,7 @@ def vectors_from_bivector(b: Multivector) -> tuple[np.ndarray, np.ndarray]:
     _require_rigid(alg)
     if not (b.is_zero() or significant_grades(b) == (2,)):
         raise GeometryError("expected a bivector")
-    _, inverse = alg.cached(_generator_basis)
-    packed = inverse @ b.coeffs[alg.grade_slice[2]]
+    packed = alg.cached(_generator_basis) @ b.coeffs[alg.grade_slice[2]]
     return packed[:3].copy(), packed[3:].copy()
 
 
@@ -90,6 +85,8 @@ class InertiaOperator:
 
     moments: tuple
     mass: float
+    # per bivector slot: the weight of the one unit motion it carries
+    _diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "moments",
@@ -100,36 +97,26 @@ class InertiaOperator:
         if min(self.moments) <= 0.0 or self.mass <= 0.0:
             raise GeometryError(
                 "singular inertia: moments and mass must be positive")
-
-    def _diag(self, alg: Algebra) -> np.ndarray:
-        _require_rigid(alg)
-        return alg.cached(_inertia_diag, self.moments, self.mass)
+        motion_of_slot = np.abs(pga(3).cached(_generator_basis)).argmax(axis=0)
+        weights = np.array(self.moments + (self.mass,) * 3)
+        object.__setattr__(self, "_diag", weights[motion_of_slot])
 
     def apply(self, velocity: Multivector) -> Multivector:
         """Momentum bivector of a velocity bivector."""
         alg = velocity.algebra
+        _require_rigid(alg)
         out = np.zeros(alg.size)
         sl = alg.grade_slice[2]
-        out[sl] = self._diag(alg) * velocity.coeffs[sl]
+        out[sl] = self._diag * velocity.coeffs[sl]
         return Multivector(alg, out)
 
     def inverse_apply(self, momentum: Multivector) -> Multivector:
         alg = momentum.algebra
+        _require_rigid(alg)
         out = np.zeros(alg.size)
         sl = alg.grade_slice[2]
-        out[sl] = momentum.coeffs[sl] / self._diag(alg)
+        out[sl] = momentum.coeffs[sl] / self._diag
         return Multivector(alg, out)
-
-
-def _inertia_diag(alg: Algebra, moments: tuple, mass: float) -> np.ndarray:
-    diag = np.zeros(6)
-    for i, name in enumerate(alg.names[alg.grade_slice[2]]):
-        if "0" in name:
-            diag[i] = mass
-        else:
-            # e23 turns about x, e13 about y, e12 about z
-            diag[i] = moments[{"e23": 0, "e13": 1, "e12": 2}[name]]
-    return diag
 
 
 @dataclass(frozen=True)
@@ -173,7 +160,9 @@ def rk4_step(state: BodyState, inertia: InertiaOperator, h: float,
     g1 = g + (k1g + k2g * 2 + k3g * 2 + k4g) * (h / 6)
     m1 = m + (k1m + k2m * 2 + k3m * 2 + k4m) * (h / 6)
     if renormalize:
-        g1 = g1 / math.sqrt(abs(g1.gp(g1.reverse()).scalar_part()))
+        # no null-versor check: a zero norm gives non-finite
+        # coefficients, which integrate reports as divergence
+        g1 = g1 / euclidean_norm(g1)
     return BodyState(g1, m1)
 
 
@@ -228,8 +217,6 @@ def write_trajectory(out: TextIO, state: BodyState, inertia: InertiaOperator,
 def solution_space_dims(model: str) -> tuple[int, int, int]:
     """(bivector count, even-subalgebra count, excess of the pair space
     over the 12 states a rigid body actually has) for a model family."""
-    from .algebra import cga, pga
-
     if model == "pga":
         alg = pga(3)
     elif model == "cga":
@@ -243,6 +230,4 @@ def solution_space_dims(model: str) -> tuple[int, int, int]:
 
 def valid_state_dim() -> int:
     """Velocity and momentum freedoms of one rigid body."""
-    from .algebra import pga
-
     return 2 * len(pga(3).basis_blades(2))

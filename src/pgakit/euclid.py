@@ -45,10 +45,6 @@ def euclidean_dim(alg: Algebra) -> int:
     return alg.gens - 1
 
 
-def _volume_name(alg: Algebra) -> str:
-    return "e" + "".join(str(i) for i in range(1, alg.gens))
-
-
 def plane(alg: Algebra, *coeffs: float) -> Multivector:
     """Hyperplane from n normal components plus offset, normal first."""
     n = euclidean_dim(alg)
@@ -101,8 +97,8 @@ def line_from_planes(a: Multivector, b: Multivector) -> Multivector:
 
 
 def weight(x: Multivector) -> float:
-    """Coefficient on the euclidean volume blade; +-1 on normalized points."""
-    return x[_volume_name(x.algebra)]
+    """Coefficient on the volume blade e1..en; +-1 on normalized points."""
+    return float(x.coeffs[x.algebra.pos_of[(x.algebra.size - 1) ^ 1]])
 
 
 def euclidean_norm(x: Multivector) -> float:

@@ -48,10 +48,15 @@ def _parity(g: Multivector) -> int:
 
 
 def normalize_versor(g: Multivector) -> Multivector:
-    s = g.gp(g.reverse()).scalar_part()
-    if abs(s) < 1e-30:
+    norm = euclidean_norm(g)
+    if norm < 1e-15:
         raise GeometryError("cannot normalize a null versor")
-    return g / math.sqrt(abs(s))
+    return g / norm
+
+
+def _require_unit(g: Multivector, message: str):
+    if abs(g.gp(g.reverse()).scalar_part() - 1.0) > VERSOR_TOL:
+        raise GeometryError(message)
 
 
 def reflect(mirror: Multivector, x: Multivector) -> Multivector:
@@ -71,14 +76,27 @@ def sandwich(g: Multivector, x: Multivector) -> Multivector:
     them composed do.
     """
     g._peer(x)
-    if abs(g.gp(g.reverse()).scalar_part() - 1.0) > VERSOR_TOL:
-        raise GeometryError("sandwich needs a normalized versor")
+    _require_unit(g, "sandwich needs a normalized versor")
     operand = x.involute() if _parity(g) else x
     return g.gp(operand).gp(g.reverse())
 
 
-def _top_name(alg: Algebra) -> str:
-    return alg.names[-1]
+def _screw_scales(b: Multivector) -> tuple[float, float]:
+    """alpha, beta of b = alpha*u + beta*u*I: b*b = -alpha^2 - 2*alpha*beta*I."""
+    sq = b.gp(b)
+    s = sq.scalar_part()
+    if s > 1e-12 * max(1.0, b.norm() ** 2):
+        raise GAError("bivector square has positive scalar part")
+    alpha = math.sqrt(max(0.0, -s))
+    if alpha < SMALL_ANGLE:
+        return alpha, 0.0  # b is taken as purely ideal
+    return alpha, -float(sq.coeffs[-1]) / (2.0 * alpha)  # I is the last slot
+
+
+def _screw_axes(b: Multivector, alpha: float, beta: float):
+    """The axis pair (u, u*I) of b = alpha*u + beta*u*I; alpha nonzero."""
+    axis_ideal = b.gp(b.algebra.pseudoscalar()) / alpha
+    return (b - axis_ideal * beta) / alpha, axis_ideal
 
 
 def exp_bivector(b: Multivector) -> Multivector:
@@ -90,21 +108,12 @@ def exp_bivector(b: Multivector) -> Multivector:
     """
     alg = b.algebra
     _require_dual(alg)
-    if b.is_zero():
-        return alg.scalar(1.0)
-    if b.grades_present() != (2,):
+    if not b.is_zero() and b.grades_present() != (2,):
         raise GeometryError("exp is defined here for bivectors only")
-    sq = b.gp(b)
-    s = sq.scalar_part()
-    if s > 1e-12 * max(1.0, b.norm() ** 2):
-        raise GAError("bivector square has positive scalar part")
-    alpha = math.sqrt(max(0.0, -s))
+    alpha, beta = _screw_scales(b)
     if alpha < SMALL_ANGLE:
         return alg.scalar(1.0) + b
-    pseudo = sq[_top_name(alg)]
-    beta = -pseudo / (2.0 * alpha)
-    axis_ideal = b.gp(alg.pseudoscalar()) / alpha
-    axis = (b - axis_ideal * beta) / alpha
+    axis, axis_ideal = _screw_axes(b, alpha, beta)
     rotation = alg.scalar(math.cos(alpha)) + axis * math.sin(alpha)
     translation = alg.scalar(1.0) + axis_ideal * beta
     return rotation.gp(translation)
@@ -117,26 +126,24 @@ def log_versor(g: Multivector) -> Multivector:
     rotation half-angle lands in (0, pi).  Raises MultivaluedLogError
     when the motor is a full turn and the axis has cancelled out.
     """
-    alg = g.algebra
-    _require_dual(alg)
+    _require_dual(g.algebra)
     if _parity(g) != 0:
         raise GeometryError("log needs an even versor")
-    if abs(g.gp(g.reverse()).scalar_part() - 1.0) > VERSOR_TOL:
-        raise GeometryError("log needs a normalized versor")
+    _require_unit(g, "log needs a normalized versor")
     w = g.scalar_part()
     b2 = g.grade(2)
     sin_alpha = euclidean_norm(b2)
-    top = _top_name(alg)
+    pseudo = float(g.coeffs[-1])
     if sin_alpha < VERSOR_TOL:
         if w < 0.0:
             raise MultivaluedLogError("full-turn motor: axis is undetermined")
-        if abs(g[top]) > VERSOR_TOL:
+        if abs(pseudo) > VERSOR_TOL:
             raise GeometryError("not a motor: stray volume-grade component")
         return b2 / w
     alpha = math.atan2(sin_alpha, w)
-    beta = -g[top] / sin_alpha
-    axis_ideal = b2.gp(alg.pseudoscalar()) / sin_alpha
-    axis = (b2 - axis_ideal * (beta * w)) / sin_alpha
+    # g = w + sin(alpha) u + beta w u I - beta sin(alpha) I
+    beta = -pseudo / sin_alpha
+    axis, axis_ideal = _screw_axes(b2, sin_alpha, beta * w)
     return axis * alpha + axis_ideal * beta
 
 
@@ -146,13 +153,10 @@ def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
     _require_dual(alg)
     if not b.is_zero() and b.grades_present() != (2,):
         raise GeometryError("screw split is defined for bivectors only")
-    s = b.gp(b).scalar_part()
-    alpha = math.sqrt(max(0.0, -s))
+    alpha, beta = _screw_scales(b)
     if alpha < SMALL_ANGLE:
         return alg.zero(), b
-    pseudo = b.gp(b)[_top_name(alg)]
-    beta = -pseudo / (2.0 * alpha)
-    ideal_part = b.gp(alg.pseudoscalar()) * (beta / alpha)
+    ideal_part = _screw_axes(b, alpha, beta)[1] * beta
     return b - ideal_part, ideal_part
 
 

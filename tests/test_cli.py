@@ -122,6 +122,21 @@ class TestConstruct:
         assert code == 1
         assert "column" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coords, token", [
+        ("[Infinity, 0, 0]", "Infinity"),
+        ("[0, NaN, 0]", "NaN"),
+        ("[1e400, 0, 0]", "1e400"),
+    ])
+    def test_non_finite_scene_number_is_usage_error(self, tmp_path, capsys,
+                                                    coords, token):
+        path = tmp_path / "scene.json"
+        path.write_text('{"entities": {"P": {"type": "point", "coords": %s}}}'
+                        % coords)
+        assert main(["construct", "--scene", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"scene number {token} is not finite" in captured.err
+        assert captured.out == ""
+
 
 class TestEval:
     def test_blade_square(self, capsys):
@@ -138,7 +153,9 @@ class TestEval:
 
     def test_unbound_name(self, capsys):
         assert main(["eval", "missing * e1"]) == 1
-        assert "unbound" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "unbound" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("source, message", [
         ("e0 * 1e400", "column 6: number '1e400' is out of range"),
@@ -151,7 +168,7 @@ class TestEval:
             assert main(["eval", source]) == 1
         captured = capsys.readouterr()
         assert message in captured.err
-        assert "inf" not in captured.out and "nan" not in captured.out
+        assert captured.out == ""
 
 
 class TestSimulate:
@@ -205,6 +222,27 @@ class TestSimulate:
         })
         assert main(["simulate", "--scene", path]) == 2
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", ["1e400", "1" + "0" * 400],
+                             ids=["float", "integer"])
+    def test_non_finite_mass_is_usage_error(self, tmp_path, capsys, number):
+        path = tmp_path / "scene.json"
+        path.write_text('{"dynamics": {"inertia": {"moments": [1, 2, 3],'
+                        ' "mass": %s}, "h": 0.001, "steps": 5}}' % number)
+        assert main(["simulate", "--scene", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"scene number {number} is not finite" in captured.err
+        assert captured.out == ""
+
+    def test_renormalize_must_be_boolean(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {
+            "dynamics": {"inertia": {"moments": [1, 2, 3], "mass": 1.0},
+                         "h": 0.001, "steps": 5, "renormalize": "no"},
+        })
+        assert main(["simulate", "--scene", path]) == 2
+        captured = capsys.readouterr()
+        assert "'renormalize' must be true or false" in captured.err
+        assert captured.out == ""
 
     def test_divergence_reports_step(self, tmp_path, capsys):
         path = write_scene(tmp_path, {

@@ -69,7 +69,7 @@ class TestVectorPacking:
         a, l = rng.normal(size=3), rng.normal(size=3)
         b = bivector_from_vectors(pga3, a, l)
         a2, l2 = vectors_from_bivector(b)
-        assert np.allclose(a2, a, atol=1e-15) and np.allclose(l2, l, atol=1e-15)
+        assert np.array_equal(a2, a) and np.array_equal(l2, l)
 
     def test_angular_part_turns_the_right_way(self, pga3):
         from pgakit.motors import exp_bivector
@@ -93,9 +93,19 @@ class TestInertia:
         v = bivector_from_vectors(pga3, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         m = inertia.apply(v)
         a, l = vectors_from_bivector(m)
-        assert np.allclose(a, [2.0, 3.0, 5.0], atol=1e-14)
-        assert np.allclose(l, [7.0, 7.0, 7.0], atol=1e-14)
+        assert np.array_equal(a, [2.0, 3.0, 5.0])
+        assert np.array_equal(l, [7.0, 7.0, 7.0])
         assert inertia.inverse_apply(m).close_to(v, tol=1e-15)
+
+    def test_bodies_leave_the_table_store_alone(self, pga3, rng):
+        v = bivector_from_vectors(pga3, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+        InertiaOperator((1.0, 2.0, 3.0), 1.0).apply(v)
+        before = len(pga3._cache)
+        for _ in range(200):
+            inertia = InertiaOperator(tuple(rng.uniform(0.5, 5.0, 3)),
+                                      rng.uniform(0.5, 5.0))
+            inertia.inverse_apply(inertia.apply(v))
+        assert len(pga3._cache) == before
 
     def test_rejects_nonpositive(self):
         with pytest.raises(GeometryError):
