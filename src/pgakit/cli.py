@@ -5,24 +5,35 @@ expression, divergence), 2 usage error (flags, malformed scene files).
 
 A scene is a JSON file.  ``algebra`` picks the model, ``entities`` binds
 names the expression language can see, and ``dynamics`` configures a
-rigid-body run:
+rigid-body run.  Each field, its JSON type and its default (a field with
+no default is required):
 
-    {
-      "algebra": {"model": "pga", "n": 3},
-      "entities": {
-        "P":  {"type": "point", "coords": [1, 0, 0]},
-        "Pi": {"type": "line", "from": [0, 0, 0], "to": [0, 0, 1]},
-        "F":  {"type": "plane", "coeffs": [0, 0, 1, 0]},
-        "raw": {"type": "multivector", "coeffs": [0, "..."]}
-      },
-      "dynamics": {
-        "inertia": {"moments": [1, 2, 3], "mass": 1.0},
-        "pose": {"center": [0, 0, 0], "axis": [0, 0, 1],
-                 "angle": 0.0, "displacement": 0.0},
-        "momentum": {"angular": [12, 10, -8], "linear": [0, 0, 0]},
-        "h": 1e-3, "steps": 10000, "renormalize": true
-      }
-    }
+    algebra               object     {"model": "pga", "n": 3}
+      model               string     "pga" ("pga" or "cga")
+      n                   integer    3 (pga: 2 or 3; cga: 3)
+    entities              object     {}; each name maps to an object:
+      type                string     "point", "line", "plane", "multivector"
+      coords              n numbers  (point)
+      from, to            n numbers  (line through two points)
+      coeffs              numbers    (plane: n + 1; multivector: one per blade)
+    dynamics              object     absent; ``simulate`` needs it
+      inertia             object
+        moments           3 numbers
+        mass              number     1.0
+      pose                object     the identity
+        center, axis      3 numbers  [0, 0, 0], [0, 0, 1]
+        angle             number     0.0 (radians)
+        displacement      number     0.0
+      momentum            object     at rest
+        angular, linear   3 numbers  [0, 0, 0] each
+      h                   number     0.001 (positive)
+      steps               integer    1000 (at least 1)
+      renormalize         boolean    true
+
+A number is a JSON integer or float, never ``true``/``false``; an integer
+field takes only a JSON integer, so ``"steps": 1e4`` is refused.  A value
+of the wrong type, and a non-finite number (``NaN``, ``Infinity``,
+``1e400``), is a usage error (exit 2).
 
 In a "cga" scene, points embed onto the null cone and the wedge spans
 instead of meeting; ``construct`` refuses such scenes because its
@@ -32,6 +43,7 @@ expressions assume plane-based operators.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,37 +75,46 @@ class Scene:
         self.dynamics_block = dynamics_block
 
 
-def _vector(block, key, n) -> np.ndarray:
-    v = block.get(key)
-    if not isinstance(v, list) or len(v) != n:
-        raise SceneError(f"{key!r} must be a list of {n} numbers")
-    try:
-        return np.array([float(x) for x in v])
-    except (TypeError, ValueError):
-        raise SceneError(f"{key!r} must be a list of {n} numbers") from None
+_KINDS = {dict: "an object", str: "a string", bool: "true or false",
+          int: "an integer", float: "a number"}
 
 
-def _build_entity(alg: Algebra, model: str, name: str, block) -> Multivector:
-    if not isinstance(block, dict) or "type" not in block:
-        raise SceneError(f"entity {name!r} needs a 'type' field")
-    kind = block["type"]
+def _field(block: dict, key: str, kind, default=None):
+    """Read ``block[key]`` as ``kind``: dict, str, bool, int, float, or a
+    count n for a list of n numbers (a float array).  Types are exact, so
+    ``true`` is no number, but a float field takes an integer.  A missing
+    key takes ``default``; with none, or a wrong type, it is a SceneError."""
+    value = block.get(key, default)
+    if isinstance(kind, int):
+        if type(value) is list and len(value) == kind and all(
+                type(x) in (int, float) for x in value):
+            return np.array([float(x) for x in value])
+        raise SceneError(f"{key!r} must be a list of {kind} numbers")
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise SceneError(f"{key!r} must be " + _KINDS[kind])
+    return value
+
+
+def _build_entity(alg: Algebra, model: str, name: str, blocks) -> Multivector:
+    block = _field(blocks, name, dict)
     n = alg.gens - 1 if model == "pga" else alg.gens - 2
     try:
+        kind = _field(block, "type", str)
         if kind == "point":
-            coords = _vector(block, "coords", n)
+            coords = _field(block, "coords", n)
             if model == "pga":
                 return euclid.point(alg, *coords)
             return conformal.up(alg, coords)
         if kind == "plane" and model == "pga":
-            return euclid.plane(alg, *_vector(block, "coeffs", n + 1))
+            return euclid.plane(alg, *_field(block, "coeffs", n + 1))
         if kind == "line" and model == "pga":
             return euclid.line_from_points(
-                euclid.point(alg, *_vector(block, "from", n)),
-                euclid.point(alg, *_vector(block, "to", n)))
+                euclid.point(alg, *_field(block, "from", n)),
+                euclid.point(alg, *_field(block, "to", n)))
         if kind == "multivector":
-            return alg.from_coeffs(_vector(block, "coeffs", alg.size))
-    except SceneError:
-        raise
+            return alg.from_coeffs(_field(block, "coeffs", alg.size))
     except GAError as e:
         raise SceneError(f"entity {name!r}: {e}") from None
     raise SceneError(f"entity {name!r}: no {kind!r} entities"
@@ -120,9 +141,9 @@ def load_scene(path: str) -> Scene:
     if not isinstance(doc, dict):
         raise SceneError("scene must be a JSON object")
 
-    algebra_block = doc.get("algebra", {"model": "pga", "n": 3})
-    model = algebra_block.get("model", "pga")
-    n = algebra_block.get("n", 3)
+    algebra_block = _field(doc, "algebra", dict, {})
+    model = _field(algebra_block, "model", str, "pga")
+    n = _field(algebra_block, "n", int, 3)
     if model == "pga":
         if n not in (2, 3):
             raise SceneError("pga scenes support n = 2 or 3")
@@ -134,55 +155,45 @@ def load_scene(path: str) -> Scene:
     else:
         raise SceneError(f"unknown algebra model {model!r}")
 
-    entities = {}
-    for name, block in doc.get("entities", {}).items():
-        entities[name] = _build_entity(alg, model, name, block)
-    return Scene(alg, model, entities, doc.get("dynamics"))
+    blocks = _field(doc, "entities", dict, {})
+    entities = {name: _build_entity(alg, model, name, blocks)
+                for name in blocks}
+    return Scene(alg, model, entities, _field(doc, "dynamics", dict, {}))
 
 
 def _dynamics_setup(scene: Scene, args):
     block = scene.dynamics_block
-    if block is None:
+    if not block:
         raise SceneError("scene has no dynamics block")
     if scene.model != "pga" or scene.algebra.gens != 4:
         raise SceneError("dynamics runs in the 3D plane-based algebra")
-    alg = scene.algebra
 
-    inertia_block = block.get("inertia")
-    if not isinstance(inertia_block, dict):
-        raise SceneError("dynamics needs an 'inertia' block")
+    inertia_block = _field(block, "inertia", dict)
     inertia = dynamics.InertiaOperator(
-        tuple(inertia_block.get("moments", ())),
-        inertia_block.get("mass", 1.0))
+        _field(inertia_block, "moments", 3),
+        _field(inertia_block, "mass", float, 1.0))
 
-    pose_block = block.get("pose")
-    if pose_block is None:
-        pose = alg.scalar(1.0)
-    else:
-        pose = motors.motor_from_screw(
-            alg, _vector(pose_block, "center", 3),
-            _vector(pose_block, "axis", 3),
-            float(pose_block.get("angle", 0.0)),
-            float(pose_block.get("displacement", 0.0)))
+    pose_block = _field(block, "pose", dict, {})
+    pose = motors.motor_from_screw(
+        scene.algebra, _field(pose_block, "center", 3, [0, 0, 0]),
+        _field(pose_block, "axis", 3, [0, 0, 1]),
+        _field(pose_block, "angle", float, 0.0),
+        _field(pose_block, "displacement", float, 0.0))
 
-    momentum_block = block.get("momentum", {})
+    momentum_block = _field(block, "momentum", dict, {})
     momentum = dynamics.bivector_from_vectors(
-        alg,
-        momentum_block.get("angular", [0.0, 0.0, 0.0]),
-        momentum_block.get("linear", [0.0, 0.0, 0.0]))
+        scene.algebra, _field(momentum_block, "angular", 3, [0, 0, 0]),
+        _field(momentum_block, "linear", 3, [0, 0, 0]))
 
-    h = args.h if args.h is not None else float(block.get("h", 1e-3))
-    steps = args.steps if args.steps is not None else int(
-        block.get("steps", 1000))
-    if h <= 0.0:
-        raise SceneError("step size h must be positive")
+    h = _field(block, "h", float, 1e-3) if args.h is None else args.h
+    steps = _field(block, "steps", int, 1000) if args.steps is None \
+        else args.steps
+    if not 0.0 < h < math.inf:
+        raise SceneError("step size h must be positive and finite")
     if steps < 1:
         raise SceneError("step count must be at least 1")
-    renormalize = block.get("renormalize", True)
-    if not isinstance(renormalize, bool):
-        raise SceneError("'renormalize' must be true or false")
-    if args.no_renormalize:
-        renormalize = False
+    renormalize = _field(block, "renormalize", bool, True) \
+        and not args.no_renormalize
     return dynamics.BodyState(pose, momentum), inertia, h, steps, renormalize
 
 
@@ -416,6 +427,7 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgakit",

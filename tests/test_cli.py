@@ -1,9 +1,14 @@
+import copy
+import functools
 import json
+import operator
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pgakit import cli, euclid
 from pgakit.cli import SceneError, load_scene, main
@@ -66,6 +71,113 @@ class TestSceneLoading:
         with pytest.raises(SceneError, match="list of 3 numbers"):
             load_scene(path)
 
+
+BODY = {"inertia": {"moments": [1, 2, 3], "mass": 1.0}, "h": 1e-3, "steps": 5}
+POSE = {"center": [0, 0, 0], "axis": [0, 0, 1]}
+
+# a scene every command accepts, with every field set and a short run
+VALID_SCENE = {
+    "algebra": {"model": "pga", "n": 3},
+    "entities": {"P": {"type": "point", "coords": [1, 0, 0]},
+                 "Pi": {"type": "line", "from": [0, 0, 0], "to": [0, 0, 1]},
+                 "F": {"type": "plane", "coeffs": [0, 0, 1, 0]}},
+    "dynamics": {"inertia": {"moments": [1, 2, 3], "mass": 1.0},
+                 "pose": {**POSE, "angle": 0.5, "displacement": 0.1},
+                 "momentum": {"angular": [1, 2, 3], "linear": [0, 1, 0]},
+                 "h": 1e-3, "steps": 5, "renormalize": True},
+}
+STEP_TOKENS = ["nan", "inf", "0", "-1", "1e400", "abc", "0.001", "3"]
+
+
+def _scene_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _scene_paths(child, prefix + (key,))
+
+
+SCENE_PATHS = list(_scene_paths(VALID_SCENE))
+FIELD_NAMES = sorted({key for path in SCENE_PATHS for key in path
+                      if isinstance(key, str)})
+# integers past 20 would make a long run of a substituted "steps"; parts
+# of the valid scene in the wrong place keep some examples well typed
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-20, 20) | st.just(10 ** 400)
+    | st.floats() | st.text(max_size=4) | st.sampled_from(
+        [functools.reduce(operator.getitem, path, VALID_SCENE)
+         for path in SCENE_PATHS]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(FIELD_NAMES) | st.text(max_size=3), inner,
+        max_size=4),
+    max_leaves=8)
+
+
+def _substitute(doc, path, value):
+    """doc with the value at path; a path an earlier swap removed is left."""
+    if not path:
+        return value
+    try:
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return doc
+
+
+class TestMalformedScene:
+    @pytest.mark.parametrize("command, doc", [
+        ("eval", {"algebra": [1]}),
+        ("eval", {"algebra": {"n": 3.0}}),
+        ("eval", {"entities": [1, 2]}),
+        ("simulate", {"dynamics": 5}),
+        ("simulate", {"dynamics": {**BODY, "momentum": [1, 2]}}),
+        ("simulate", {"dynamics": {**BODY, "pose": [1]}}),
+        ("simulate", {"dynamics": {**BODY, "pose": {**POSE, "angle": "big"}}}),
+        ("simulate", {"dynamics": {**BODY,
+                                   "inertia": {"moments": ["x", 1, 1]}}}),
+        ("simulate", {"dynamics": {**BODY, "inertia": {"moments": [1, 2]}}}),
+        ("simulate", {"dynamics": {**BODY, "inertia": {"moments": [1, 2, 3],
+                                                       "mass": True}}}),
+        ("simulate", {"dynamics": {**BODY, "steps": "3"}}),
+        ("simulate", {"dynamics": {**BODY, "steps": 2.7}}),
+    ], ids=["algebra-list", "n-float", "entities-list", "dynamics-number",
+            "momentum-list", "pose-list", "angle-string", "moments-string",
+            "moments-short", "mass-bool", "steps-string", "steps-float"])
+    def test_wrong_type_is_usage_error(self, tmp_path, capsys, command, doc):
+        argv = [command, "--scene", write_scene(tmp_path, doc)]
+        assert main(argv + (["e1"] if command == "eval" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_scene_exits_cleanly(self, tmp_path, capsys, data):
+        doc = copy.deepcopy(VALID_SCENE)
+        paths = data.draw(st.lists(st.sampled_from(SCENE_PATHS),
+                                   min_size=1, max_size=3))
+        for path in paths:
+            # a drawn part of VALID_SCENE is the original: a later swap
+            # into the copy's path would otherwise write into VALID_SCENE
+            doc = _substitute(doc, path, copy.deepcopy(data.draw(ANY_JSON)))
+        command = data.draw(st.sampled_from(["construct", "simulate", "eval"]))
+        argv = [command, "--scene", write_scene(tmp_path, doc)]
+        if command == "eval":
+            argv.append("P & Pi")
+        if command == "simulate":
+            for flag in data.draw(st.lists(st.sampled_from(["--h", "--steps"]),
+                                           max_size=2)):
+                argv += [flag, data.draw(st.sampled_from(STEP_TOKENS))]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 class TestConstruct:
     def test_worked_example(self, capsys):
@@ -215,13 +327,19 @@ class TestSimulate:
         assert main(["simulate", "--scene", path]) == 1
         assert "singular inertia" in capsys.readouterr().err
 
-    def test_invalid_step_size(self, tmp_path, capsys):
+    @pytest.mark.parametrize("h, flags", [
+        (-0.5, []), (1e-3, ["--h", "nan"]), (1e-3, ["--h", "inf"]),
+        (1e-3, ["--h", "0"]),
+    ], ids=["scene", "nan", "inf", "zero"])
+    def test_invalid_step_size(self, tmp_path, capsys, h, flags):
         path = write_scene(tmp_path, {
             "dynamics": {"inertia": {"moments": [1, 2, 3], "mass": 1.0},
-                         "h": -0.5, "steps": 5},
+                         "h": h, "steps": 5},
         })
-        assert main(["simulate", "--scene", path]) == 2
-        assert "positive" in capsys.readouterr().err
+        assert main(["simulate", "--scene", path] + flags) == 2
+        captured = capsys.readouterr()
+        assert "positive" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("number", ["1e400", "1" + "0" * 400],
                              ids=["float", "integer"])
