@@ -12,6 +12,7 @@ from .algebra import (
     Algebra,
     AlgebraMismatch,
     GAError,
+    GeometryError,
     Multivector,
     Signature,
     SignatureError,
@@ -20,7 +21,6 @@ from .algebra import (
     pga,
 )
 from .duality import j_map, join, meet, polarity
-from .euclid import GeometryError
 
 __all__ = [
     "Algebra",

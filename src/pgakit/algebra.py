@@ -22,6 +22,12 @@ blade with ``np.bincount``.  Terms are added in i-major order, the order of
 a loop over the left operand's blades, and a zero term never changes a
 sum, so results are bitwise reproducible.  The dense einsum kernel behind
 ``gp_dense`` is kept only as an independent check on the tables.
+
+An algebra names the euclidean model it is, once, from its signature:
+``model`` and ``n`` are ``("pga", n)`` for a dual (n,0,1) signature,
+``("cga", n)`` for a standard (n+1,1,0) one and ``(None, None)`` for any
+other.  Functions that need one model call ``alg.require(model, n)``,
+which returns n or raises ``GeometryError`` naming the algebra it needs.
 """
 
 from __future__ import annotations
@@ -48,6 +54,14 @@ class AlgebraMismatch(GAError):
     pass
 
 
+class GeometryError(GAError):
+    """Domain failure: ideal input, degenerate construction, bad weights,
+    or an algebra of the wrong model."""
+
+
+_MODEL_NAMES = {"pga": "plane-based", "cga": "conformal"}
+
+
 def popcount(x: int) -> int:
     return bin(x).count("1")
 
@@ -72,7 +86,8 @@ class Signature:
 
     ``orientation`` is bookkeeping only: "dual" marks an algebra whose
     1-vectors are hyperplanes, so the wedge of blades is an intersection
-    rather than a span.  No arithmetic ever consults it.
+    rather than a span.  No arithmetic ever consults it; only
+    ``Algebra.model`` reads it.
     """
 
     p: int
@@ -108,6 +123,13 @@ class Algebra:
         self.gens = d
         self.size = 1 << d
         self.metric = tuple([0] * signature.r + [1] * signature.p + [-1] * signature.q)
+        shape = (signature.orientation, signature.q, signature.r)
+        if shape == ("dual", 0, 1):
+            self.model, self.n = "pga", signature.p
+        elif shape == ("standard", 1, 0) and signature.p >= 1:
+            self.model, self.n = "cga", signature.p - 1
+        else:
+            self.model, self.n = None, None
 
         masks = sorted(range(self.size), key=lambda m: (popcount(m), m))
         self.mask_of = tuple(masks)  # position -> bitmask
@@ -175,6 +197,15 @@ class Algebra:
         if bad.size:
             i, j, k = bad[0]  # argwhere scans in lexicographic order
             raise GAError(f"product table not associative at blades {i},{j},{k}")
+
+    def require(self, model: str, n: int | None = None) -> int:
+        """Euclidean dimension n of this algebra if it is ``model`` ("pga"
+        or "cga") over n-space, any n when ``n`` is None; else GeometryError."""
+        if self.model != model or n is not None and self.n != n:
+            wanted = model if n is None else f"{model}({n})"
+            raise GeometryError(
+                f"needs a {_MODEL_NAMES[model]} {wanted} algebra, not {self!r}")
+        return self.n
 
     def cached(self, build, *args):
         """Per-algebra table ``build(self, *args)``, built on first use.

@@ -11,7 +11,10 @@ no default is required):
     algebra               object     {"model": "pga", "n": 3}
       model               string     "pga" ("pga" or "cga")
       n                   integer    3 (pga: 2 or 3; cga: 3)
-    entities              object     {}; each name maps to an object:
+    entities              object     {}; each name maps to an object
+                                     (a name is one identifier, not a
+                                     blade such as e1, so expressions
+                                     can refer to it):
       type                string     "point", "line", "plane", "multivector"
       coords              n numbers  (point)
       from, to            n numbers  (line through two points)
@@ -46,6 +49,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -67,10 +71,9 @@ class SceneError(GAError):
 
 
 class Scene:
-    def __init__(self, algebra: Algebra, model: str,
-                 entities: dict[str, Multivector], dynamics_block):
+    def __init__(self, algebra: Algebra, entities: dict[str, Multivector],
+                 dynamics_block):
         self.algebra = algebra
-        self.model = model
         self.entities = entities
         self.dynamics_block = dynamics_block
 
@@ -97,9 +100,16 @@ def _field(block: dict, key: str, kind, default=None):
     return value
 
 
-def _build_entity(alg: Algebra, model: str, name: str, blocks) -> Multivector:
+def _build_entity(alg: Algebra, name: str, blocks) -> Multivector:
     block = _field(blocks, name, dict)
-    n = alg.gens - 1 if model == "pga" else alg.gens - 2
+    try:
+        usable = dsl.parse(name) == dsl.Name(name)  # e1 parses as a blade
+    except dsl.ParseError:
+        usable = False
+    if not usable:
+        raise SceneError(f"entity {name!r}: expressions cannot refer to"
+                         " this name; use one identifier that is not a blade")
+    model, n = alg.model, alg.n
     try:
         kind = _field(block, "type", str)
         if kind == "point":
@@ -156,16 +166,15 @@ def load_scene(path: str) -> Scene:
         raise SceneError(f"unknown algebra model {model!r}")
 
     blocks = _field(doc, "entities", dict, {})
-    entities = {name: _build_entity(alg, model, name, blocks)
-                for name in blocks}
-    return Scene(alg, model, entities, _field(doc, "dynamics", dict, {}))
+    entities = {name: _build_entity(alg, name, blocks) for name in blocks}
+    return Scene(alg, entities, _field(doc, "dynamics", dict, {}))
 
 
 def _dynamics_setup(scene: Scene, args):
     block = scene.dynamics_block
     if not block:
         raise SceneError("scene has no dynamics block")
-    if scene.model != "pga" or scene.algebra.gens != 4:
+    if (scene.algebra.model, scene.algebra.n) != ("pga", 3):
         raise SceneError("dynamics runs in the 3D plane-based algebra")
 
     inertia_block = _field(block, "inertia", dict)
@@ -200,21 +209,20 @@ def _dynamics_setup(scene: Scene, args):
 # -- subcommands --------------------------------------------------------------
 
 
-def _banner(scene: Scene) -> str:
-    wedge = "meet" if scene.model == "pga" else "span"
-    n = scene.algebra.gens - (1 if scene.model == "pga" else 2)
-    return f"# algebra {scene.model}({n}): '^' is {wedge}, '&' is join"
+def _banner(alg: Algebra) -> str:
+    wedge = "meet" if alg.model == "pga" else "span"
+    return f"# algebra {alg.model}({alg.n}): '^' is {wedge}, '&' is join"
 
 
 def cmd_construct(args) -> int:
     scene = load_scene(args.scene)
-    if scene.model != "pga":
+    if scene.algebra.model != "pga":
         raise SceneError("construct needs a plane-based scene;"
                          " its operators assume the dual algebra")
     source = args.expression or DEFAULT_EXPRESSION
     result = dsl.evaluate(dsl.parse(source), scene.algebra, scene.entities)
 
-    print(_banner(scene))
+    print(_banner(scene.algebra))
     print(f"expression: {source}")
     scale = max((e.norm() for e in scene.entities.values()), default=1.0)
     if result.norm() <= 1e-12 * max(1.0, scale):
@@ -255,10 +263,10 @@ def cmd_eval(args) -> int:
     if args.scene:
         scene = load_scene(args.scene)
     else:
-        scene = Scene(pga(3), "pga", {}, None)
+        scene = Scene(pga(3), {}, None)
     result = dsl.evaluate(dsl.parse(args.expression), scene.algebra,
                           scene.entities)
-    print(_banner(scene))
+    print(_banner(scene.algebra))
     print(result)
     return 0
 
@@ -469,8 +477,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fail(message: str) -> None:
     # flush first so redirected output keeps program order
-    sys.stdout.flush()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
     print(f"error: {message}", file=sys.stderr)
+
+
+def _drop_stdout() -> None:
+    """Send the rest of stdout, including the flush at exit, to devnull
+    once its reader has gone (``| head``), instead of a traceback."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:
@@ -484,6 +501,9 @@ def main(argv=None) -> int:
         return 2
     except GAError as e:
         _fail(str(e))
+        return 1
+    except BrokenPipeError:
+        _drop_stdout()
         return 1
 
 

@@ -12,9 +12,9 @@ paraboloid cross-section of the null cone:
 
 The scale convention here is up(x) . up(y) = -(1/2) |x - y|^2, so
 distances come back as sqrt(-2 <pq>).  Everything in this module works
-from that pairing alone; nothing imports the dual-algebra machinery
-except flat_rep, which samples points off a degenerate-model flat to
-rebuild it as an outer product here.
+from that pairing alone: it imports only ``algebra``, and only flat_rep
+reaches into the dual-algebra machinery (``euclid``), to sample points
+off a degenerate-model flat and rebuild it as an outer product here.
 """
 
 from __future__ import annotations
@@ -23,38 +23,24 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, cga
-from .euclid import GeometryError
+from .algebra import Algebra, GeometryError, Multivector, cga
 
 NULL_TOL = 1e-12
 PAIRING_TOL = 1e-9
 
 
-def _require_conformal(alg: Algebra):
-    sig = alg.signature
-    if sig.orientation != "standard" or sig.q != 1 or sig.r != 0:
-        raise GeometryError("needs a conformal (p,1,0) algebra")
-
-
-def _euclid_dim(alg: Algebra) -> int:
-    _require_conformal(alg)
-    return alg.gens - 2
-
-
 def n_origin(alg: Algebra) -> Multivector:
-    _require_conformal(alg)
-    plus, minus = alg.gens - 2, alg.gens - 1
-    return (alg.basis_vector(minus) - alg.basis_vector(plus)) * 0.5
+    n = alg.require("cga")  # e_n squares to +1, e_(n+1) to -1
+    return (alg.basis_vector(n + 1) - alg.basis_vector(n)) * 0.5
 
 
 def n_infinity(alg: Algebra) -> Multivector:
-    _require_conformal(alg)
-    plus, minus = alg.gens - 2, alg.gens - 1
-    return alg.basis_vector(plus) + alg.basis_vector(minus)
+    n = alg.require("cga")
+    return alg.basis_vector(n) + alg.basis_vector(n + 1)
 
 
 def euclidean_vector(alg: Algebra, coords) -> Multivector:
-    n = _euclid_dim(alg)
+    n = alg.require("cga")
     c = np.asarray(coords, dtype=float)
     if c.shape != (n,):
         raise GeometryError(f"expected {n} coordinates, got {c.shape}")
@@ -83,8 +69,7 @@ def is_null(p: Multivector, tol: float = NULL_TOL) -> bool:
 
 def down(p: Multivector) -> np.ndarray:
     """Euclidean coordinates of a (possibly unnormalized) null point."""
-    alg = p.algebra
-    n = _euclid_dim(alg)
+    n = p.algebra.require("cga")
     w = -infinity_pairing(p)
     if abs(w) <= PAIRING_TOL * max(1.0, p.norm()):
         raise GeometryError("point at infinity has no euclidean coordinates")
@@ -108,9 +93,7 @@ def rotor(alg: Algebra, axis, angle: float) -> Multivector:
     nu = float(np.linalg.norm(u))
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
-    n = _euclid_dim(alg)
-    if n != 3:
-        raise GeometryError("axis rotations need three euclidean generators")
+    alg.require("cga", 3)
     volume = alg.blade("e012")
     plane = volume.gp(euclidean_vector(alg, u / nu))
     half = 0.5 * float(angle)
@@ -134,9 +117,7 @@ def flat_rep(x: Multivector) -> Multivector:
     from . import euclid
 
     alg_in = x.algebra
-    n = euclid.euclidean_dim(alg_in)
-    if n != 3:
-        raise GeometryError("flat_rep bridges the 3D algebras")
+    alg_in.require("pga", 3)
     out = cga(3)
     ninf = n_infinity(out)
     if euclid.is_ideal(x):

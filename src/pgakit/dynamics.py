@@ -24,19 +24,14 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, cga, pga
-from .euclid import GeometryError, euclidean_norm, significant_grades
+from .algebra import Algebra, GeometryError, Multivector, cga, pga
+from .euclid import euclidean_norm, significant_grades
 from .motors import axis_line
 
 CSV_HEADER = (
     "t,g0,g1,g2,g3,g4,g5,g6,g7,"
     "m0,m1,m2,m3,m4,m5,energy,ms0,ms1,ms2,ms3,ms4,ms5"
 )
-
-
-def _require_rigid(alg: Algebra):
-    if alg.signature.orientation != "dual" or alg.gens != 4:
-        raise GeometryError("rigid body motion needs the 3D dual algebra")
 
 
 def _generator_basis(alg: Algebra) -> np.ndarray:
@@ -58,7 +53,7 @@ def bivector_from_vectors(alg: Algebra, angular, linear) -> Multivector:
     """Bivector with the given angular part (right-handed, about the
     coordinate axes) and linear part.  Works for velocities and momenta
     alike; the two live in the same six slots."""
-    _require_rigid(alg)
+    alg.require("pga", 3)
     rows = alg.cached(_generator_basis)
     packed = np.concatenate([np.asarray(angular, float),
                              np.asarray(linear, float)])
@@ -72,7 +67,7 @@ def bivector_from_vectors(alg: Algebra, angular, linear) -> Multivector:
 def vectors_from_bivector(b: Multivector) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of bivector_from_vectors."""
     alg = b.algebra
-    _require_rigid(alg)
+    alg.require("pga", 3)
     if not (b.is_zero() or significant_grades(b) == (2,)):
         raise GeometryError("expected a bivector")
     packed = alg.cached(_generator_basis) @ b.coeffs[alg.grade_slice[2]]
@@ -104,7 +99,7 @@ class InertiaOperator:
     def apply(self, velocity: Multivector) -> Multivector:
         """Momentum bivector of a velocity bivector."""
         alg = velocity.algebra
-        _require_rigid(alg)
+        alg.require("pga", 3)
         out = np.zeros(alg.size)
         sl = alg.grade_slice[2]
         out[sl] = self._diag * velocity.coeffs[sl]
@@ -112,7 +107,7 @@ class InertiaOperator:
 
     def inverse_apply(self, momentum: Multivector) -> Multivector:
         alg = momentum.algebra
-        _require_rigid(alg)
+        alg.require("pga", 3)
         out = np.zeros(alg.size)
         sl = alg.grade_slice[2]
         out[sl] = momentum.coeffs[sl] / self._diag
@@ -172,7 +167,7 @@ def integrate(state: BodyState, inertia: InertiaOperator, h: float,
               ) -> BodyState:
     """Fixed-step fourth-order run; the observer sees every state
     including the initial one."""
-    _require_rigid(state.pose.algebra)
+    state.pose.algebra.require("pga", 3)
     if h <= 0.0 or steps < 0:
         raise GeometryError("need a positive step size and steps >= 0")
     # overflow on the way to the finite check is reported as divergence,
@@ -208,8 +203,13 @@ def write_trajectory(out: TextIO, state: BodyState, inertia: InertiaOperator,
                      h: float, steps: int, renormalize: bool = True) -> BodyState:
     out.write(CSV_HEADER + "\n")
 
-    def row(_i, t, s):
-        out.write(csv_row(t, s, inertia) + "\n")
+    def row(i, t, s):
+        line = csv_row(t, s, inertia)
+        # %.17g spells a non-finite value inf or nan, a finite one never
+        if "inf" in line or "nan" in line:
+            raise GeometryError(f"integration diverged at step {i}:"
+                                " the row is not finite")
+        out.write(line + "\n")
 
     return integrate(state, inertia, h, steps, renormalize, observer=row)
 

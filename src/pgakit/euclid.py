@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, GAError, Multivector
+from .algebra import Algebra, GAError, GeometryError, Multivector
 from .duality import join, meet
 
 CROSS_CHECK_TOL = 1e-12
@@ -31,23 +31,9 @@ def significant_grades(x: "Multivector") -> tuple:
     return x.grades_present(tol=JUNK_TOL * max(1.0, x.norm()))
 
 
-class GeometryError(GAError):
-    """Domain failure: ideal input, degenerate construction, bad weights."""
-
-
-def _require_dual(alg: Algebra):
-    if alg.signature.orientation != "dual" or alg.signature.r != 1:
-        raise GeometryError("needs a degenerate dual (plane-based) algebra")
-
-
-def euclidean_dim(alg: Algebra) -> int:
-    _require_dual(alg)
-    return alg.gens - 1
-
-
 def plane(alg: Algebra, *coeffs: float) -> Multivector:
     """Hyperplane from n normal components plus offset, normal first."""
-    n = euclidean_dim(alg)
+    n = alg.require("pga")
     if len(coeffs) != n + 1:
         raise GeometryError(f"expected {n + 1} coefficients, got {len(coeffs)}")
     *normal, off = (float(c) for c in coeffs)
@@ -67,7 +53,7 @@ def point(alg: Algebra, *coords: float) -> Multivector:
     ``(-1)^i x_i`` on the blade lacking ``e_i``, written here directly;
     ``+ 0.0`` turns -0.0 into +0.0 as the wedge's sums do.
     """
-    n = euclidean_dim(alg)
+    n = alg.require("pga")
     if len(coords) != n:
         raise GeometryError(f"expected {n} coordinates, got {len(coords)}")
     full = alg.size - 1
@@ -80,11 +66,11 @@ def point(alg: Algebra, *coords: float) -> Multivector:
 
 
 def origin(alg: Algebra) -> Multivector:
-    return point(alg, *([0.0] * euclidean_dim(alg)))
+    return point(alg, *([0.0] * alg.require("pga")))
 
 
 def ideal_plane(alg: Algebra) -> Multivector:
-    _require_dual(alg)
+    alg.require("pga")
     return alg.blade("e0")
 
 
@@ -107,7 +93,7 @@ def euclidean_norm(x: Multivector) -> float:
 
 def ideal_norm(x: Multivector) -> float:
     """Euclidean size of the e0-carrying complement part."""
-    _require_dual(x.algebra)
+    x.algebra.require("pga")
     part = x.coeffs[x.algebra.cached(_ideal_mask)]
     return math.sqrt(float(part @ part))
 
@@ -126,8 +112,7 @@ def normalize(x: Multivector) -> Multivector:
     Top-grade elements with nonzero weight divide by the signed weight,
     so points come out with weight exactly +1.
     """
-    alg = x.algebra
-    n = euclidean_dim(alg)
+    n = x.algebra.require("pga")
     en = euclidean_norm(x)
     if en > 0.0:
         w = weight(x)
@@ -154,7 +139,7 @@ def ideal_direction(p: Multivector) -> np.ndarray:
 
 
 def _coord_table(alg: Algebra) -> np.ndarray:
-    n = euclidean_dim(alg)
+    n = alg.require("pga")
     base = origin(alg)
     rows = np.zeros((n, alg.size))
     for i in range(n):
@@ -185,7 +170,7 @@ def distance(p: Multivector, q: Multivector) -> float:
     the algebra is broken, so it raises rather than returning either.
     """
     p._peer(q)
-    n = euclidean_dim(p.algebra)
+    n = p.algebra.require("pga")
     _check_point(p, n, "p")
     _check_point(q, n, "q")
     via_join = euclidean_norm(join(p, q))
@@ -234,7 +219,7 @@ def perpendicular_through_point(line: Multivector, p: Multivector) -> Multivecto
 
 
 def flat_kind(x: Multivector) -> str:
-    n = euclidean_dim(x.algebra)
+    n = x.algebra.require("pga")
     grades = significant_grades(x)
     if grades == (1,):
         return "plane" if n == 3 else "line"

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, GAError, Multivector
+from .algebra import Algebra, GAError, GeometryError, Multivector
 from .duality import join
-from .euclid import (
-    GeometryError,
-    _require_dual,
-    euclidean_norm,
-    normalize,
-    point,
-)
+from .euclid import euclidean_norm, normalize, point
 
 VERSOR_TOL = 1e-9
 SMALL_ANGLE = 1e-12
@@ -107,7 +101,7 @@ def exp_bivector(b: Multivector) -> Multivector:
     argument short-circuits to the exact translator 1 + b.
     """
     alg = b.algebra
-    _require_dual(alg)
+    alg.require("pga")
     if not b.is_zero() and b.grades_present() != (2,):
         raise GeometryError("exp is defined here for bivectors only")
     alpha, beta = _screw_scales(b)
@@ -126,7 +120,7 @@ def log_versor(g: Multivector) -> Multivector:
     rotation half-angle lands in (0, pi).  Raises MultivaluedLogError
     when the motor is a full turn and the axis has cancelled out.
     """
-    _require_dual(g.algebra)
+    g.algebra.require("pga")
     if _parity(g) != 0:
         raise GeometryError("log needs an even versor")
     _require_unit(g, "log needs a normalized versor")
@@ -150,7 +144,7 @@ def log_versor(g: Multivector) -> Multivector:
 def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
     """Commuting (euclidean, ideal) parts of a bivector, summing to b."""
     alg = b.algebra
-    _require_dual(alg)
+    alg.require("pga")
     if not b.is_zero() and b.grades_present() != (2,):
         raise GeometryError("screw split is defined for bivectors only")
     alpha, beta = _screw_scales(b)
@@ -189,8 +183,7 @@ def motor_from_screw(alg: Algebra, center, axis, angle: float,
 
 def rotation_about(alg: Algebra, axis, angle: float, center=None) -> Multivector:
     """Motor for a right-handed rotation about an axis line in 3D."""
-    if alg.gens != 4:
-        raise GeometryError("axis rotations need the 3D dual algebra")
+    alg.require("pga", 3)
     if center is None:
         center = [0.0, 0.0, 0.0]
     return motor_from_screw(alg, center, axis, angle, 0.0)
@@ -198,17 +191,16 @@ def rotation_about(alg: Algebra, axis, angle: float, center=None) -> Multivector
 
 def rotation_about_point(p: Multivector, angle: float) -> Multivector:
     """2D motor turning counterclockwise by angle about a point."""
-    if p.algebra.gens != 3:
-        raise GeometryError("point rotations live in the 2D dual algebra")
+    p.algebra.require("pga", 2)
     return exp_bivector(normalize(p) * (-0.5 * float(angle)))
 
 
 def translator(alg: Algebra, offset) -> Multivector:
     """Exact motor translating by the given vector: 1 - (1/2) sum t_i e0i."""
-    _require_dual(alg)
+    n = alg.require("pga")
     t = np.asarray(offset, dtype=float)
-    if t.shape != (alg.gens - 1,):
-        raise GeometryError(f"expected {alg.gens - 1} components")
+    if t.shape != (n,):
+        raise GeometryError(f"expected {n} components")
     out = alg.scalar(1.0)
     for i, ti in enumerate(t, start=1):
         if ti:
@@ -309,10 +301,7 @@ _BQ_BLADES = (
 
 def to_biquaternion(g: Multivector) -> Biquaternion:
     """Even element of the 3D dual algebra as a biquaternion."""
-    alg = g.algebra
-    _require_dual(alg)
-    if alg.gens != 4:
-        raise GeometryError("biquaternions pair with the 3D dual algebra")
+    g.algebra.require("pga", 3)
     if any(k % 2 for k in g.grades_present()):
         raise GeometryError("only even multivectors map to biquaternions")
     coeffs = [g[name] * sign for name, sign in _BQ_BLADES]
@@ -320,9 +309,7 @@ def to_biquaternion(g: Multivector) -> Biquaternion:
 
 
 def from_biquaternion(alg: Algebra, bq: Biquaternion) -> Multivector:
-    _require_dual(alg)
-    if alg.gens != 4:
-        raise GeometryError("biquaternions pair with the 3D dual algebra")
+    alg.require("pga", 3)
     out = np.zeros(alg.size)
     for (name, sign), c in zip(_BQ_BLADES, bq.real + bq.dual):
         out[alg.pos_of_name(name)] = sign * c

@@ -2,6 +2,9 @@ import copy
 import functools
 import json
 import operator
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,10 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pgakit import cli, euclid
+from pgakit import cli, dynamics, euclid
 from pgakit.cli import SceneError, load_scene, main
 
 SCENES = Path(__file__).parents[1] / "scenes"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def write_scene(tmp_path, doc, name="scene.json"):
@@ -142,9 +146,13 @@ class TestMalformedScene:
                                                        "mass": True}}}),
         ("simulate", {"dynamics": {**BODY, "steps": "3"}}),
         ("simulate", {"dynamics": {**BODY, "steps": 2.7}}),
+        ("eval", {"entities": {"e1": {"type": "point", "coords": [0, 0, 0]}}}),
+        ("eval", {"entities": {"my point": {"type": "point",
+                                            "coords": [0, 0, 0]}}}),
     ], ids=["algebra-list", "n-float", "entities-list", "dynamics-number",
             "momentum-list", "pose-list", "angle-string", "moments-string",
-            "moments-short", "mass-bool", "steps-string", "steps-float"])
+            "moments-short", "mass-bool", "steps-string", "steps-float",
+            "name-is-blade", "name-with-space"])
     def test_wrong_type_is_usage_error(self, tmp_path, capsys, command, doc):
         argv = [command, "--scene", write_scene(tmp_path, doc)]
         assert main(argv + (["e1"] if command == "eval" else [])) == 2
@@ -283,6 +291,18 @@ class TestEval:
         assert captured.out == ""
 
 
+def _pgakit_child(argv, unbuffered):
+    """``python -m pgakit`` in a child process with piped stdout and
+    stderr; ``unbuffered`` is the child's PYTHONUNBUFFERED, None to unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.Popen([sys.executable, "-m", "pgakit", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+
+
 class TestSimulate:
     def test_csv_shape_and_determinism(self, capsys):
         argv = ["simulate", "--scene", str(SCENES / "euler_top.json"),
@@ -372,6 +392,43 @@ class TestSimulate:
         })
         assert main(["simulate", "--scene", path]) == 1
         assert "diverged at step" in capsys.readouterr().err
+
+    def test_non_finite_first_row_is_domain_error(self, tmp_path, capsys):
+        # finite state, but the energy of the initial row overflows
+        path = write_scene(tmp_path, {
+            "dynamics": {"inertia": {"moments": [1, 2, 3]},
+                         "momentum": {"angular": [1e160, 0, 0]}},
+        })
+        assert main(["simulate", "--scene", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == dynamics.CSV_HEADER + "\n"
+        assert "not finite" in captured.err
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_without_traceback(self, unbuffered):
+        with _pgakit_child(["simulate", "--scene",
+                            str(SCENES / "euler_top.json"),
+                            "--steps", "20000"], unbuffered) as child:
+            assert child.stdout.readline().startswith(b"t,g0,")
+            child.stdout.close()  # the reader goes away, as with `| head -1`
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err
+
+    def test_error_reported_after_reader_has_gone(self, tmp_path):
+        path = write_scene(tmp_path, {
+            "dynamics": {"inertia": {"moments": [1, 2, 3]},
+                         "momentum": {"angular": [1e160, 0, 0]}},
+        })
+        # buffered: the header is still unwritten when the error is
+        # reported, and reporting it flushes into the closed pipe
+        with _pgakit_child(["simulate", "--scene", path], None) as child:
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 1
+        assert err == "error: integration diverged at step 0:" \
+                      " the row is not finite\n"
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         path = write_scene(tmp_path, {

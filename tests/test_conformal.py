@@ -37,10 +37,6 @@ class TestNullBasis:
         assert cf.is_null(p)
         assert cf.infinity_pairing(p) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_rejects_non_conformal_algebra(self, pga3):
-        with pytest.raises(GeometryError):
-            cf.n_origin(pga3)
-
 
 class TestEmbedding:
     def test_round_trip_is_exact(self, cga3, rng):

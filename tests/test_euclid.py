@@ -81,10 +81,6 @@ class TestConstructors:
         with pytest.raises(GeometryError):
             plane(pga2, 1.0, 0.0, 0.0, 0.0)
 
-    def test_requires_dual_algebra(self, cga3):
-        with pytest.raises(GeometryError):
-            point(cga3, 1.0, 2.0, 3.0)
-
     def test_flat_kinds(self, pga3, pga2):
         assert flat_kind(plane(pga3, 1.0, 0.0, 0.0, 2.0)) == "plane"
         assert flat_kind(point(pga3, 1.0, 1.0, 1.0)) == "point"
