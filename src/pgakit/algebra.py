@@ -3,9 +3,11 @@
 A basis blade is a bitmask: bit ``i`` set means generator ``e_i`` is a
 factor.  The product of two blades is the XOR of their masks; its sign is
 the parity of the generator transpositions needed to sort the
-concatenation, times the metric square of every shared generator.  All
-tables are built from integer arithmetic, so only multivector
-coefficients are floating point.
+concatenation, times the metric square of every shared generator.  Every
+table is built at once from one integer (blade × generator) bit matrix:
+the transpositions are an inversion count, a matrix product of the bits
+with their exclusive prefix sums, so only multivector coefficients are
+floating point.
 
 Generators are laid out degenerate-first: a signature (p, q, r) squares
 to ``[0]*r + [+1]*p + [-1]*q``, which puts the degenerate direction of a
@@ -62,24 +64,6 @@ class GeometryError(GAError):
 _MODEL_NAMES = {"pga": "plane-based", "cga": "conformal"}
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def reorder_sign(a: int, b: int) -> int:
-    """Sign from sorting the concatenation of two ascending blades.
-
-    Counts, for every generator of ``a``, the generators of ``b`` it has
-    to jump over; metric plays no part here.
-    """
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += popcount(a & b)
-        a >>= 1
-    return 1 if swaps % 2 == 0 else -1
-
-
 @dataclass(frozen=True)
 class Signature:
     """Counts of generators squaring to +1, -1 and 0, plus orientation.
@@ -131,10 +115,10 @@ class Algebra:
         else:
             self.model, self.n = None, None
 
-        masks = sorted(range(self.size), key=lambda m: (popcount(m), m))
+        masks = sorted(range(self.size), key=lambda m: (m.bit_count(), m))
         self.mask_of = tuple(masks)  # position -> bitmask
         self.pos_of = {m: i for i, m in enumerate(masks)}  # bitmask -> position
-        self.grades = np.array([popcount(m) for m in masks], dtype=np.int8)
+        self.grades = np.array([m.bit_count() for m in masks], dtype=np.int8)
         self.names = tuple(self._name(m) for m in masks)
 
         self._cache = {}  # see cached()
@@ -149,25 +133,17 @@ class Algebra:
             return "1"
         return "e" + "".join(str(i) for i in range(self.gens) if mask >> i & 1)
 
-    def _blade_product(self, a: int, b: int) -> tuple[int, int]:
-        sign = reorder_sign(a, b)
-        for i in range(self.gens):
-            if a >> i & 1 and b >> i & 1:
-                sign *= self.metric[i]
-        return sign, a ^ b
-
     def _build_tables(self):
-        n = self.size
-        self.sign = np.zeros((n, n), dtype=np.int8)
-        self.result = np.zeros((n, n), dtype=np.int32)
-        self.outer_sign = np.zeros((n, n), dtype=np.int8)
-        for i, a in enumerate(self.mask_of):
-            for j, b in enumerate(self.mask_of):
-                s, m = self._blade_product(a, b)
-                self.sign[i, j] = s
-                self.result[i, j] = self.pos_of[m]
-                if a & b == 0:
-                    self.outer_sign[i, j] = reorder_sign(a, b)
+        masks = np.array(self.mask_of)
+        bits = masks[:, None] >> np.arange(self.gens) & 1  # (size, gens)
+        # sorting a ++ b jumps each generator of a over the lower ones of b
+        swaps = bits @ (np.cumsum(bits, 1) - bits).T
+        order = 1 - 2 * (swaps & 1)
+        shared = bits[:, None, :] & bits[None, :, :]
+        metric = np.where(shared, np.array(self.metric, dtype=int), 1).prod(axis=2)
+        self.sign = (order * metric).astype(np.int8)
+        self.result = np.argsort(masks)[masks[:, None] ^ masks].astype(np.int32)
+        self.outer_sign = np.where(masks[:, None] & masks, 0, order).astype(np.int8)
 
         # float sign tables for the shared product kernel
         g = self.grades
@@ -180,13 +156,10 @@ class Algebra:
         k = self.grades.astype(np.int64)
         self.reverse_sign = np.where(k * (k - 1) // 2 % 2, -1, 1).astype(np.int8)
         self.involute_sign = np.where(k % 2, -1, 1).astype(np.int8)
-        # positions are grade-sorted, so each grade occupies one slice
-        self.grade_slice = []
-        start = 0
-        for g in range(self.gens + 1):
-            count = sum(1 for x in self.grades if x == g)
-            self.grade_slice.append(slice(start, start + count))
-            start += count
+        # positions are grade-sorted, so grade g fills bounds[g]:bounds[g + 1]
+        bounds = np.searchsorted(g, np.arange(self.gens + 2)).tolist()
+        self.grade_slice = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.grade_start = np.array(bounds[:-1])
 
     def _check_associative(self):
         """Compare (ij)k with i(jk) on every blade triple at once."""
@@ -318,14 +291,9 @@ class Algebra:
             raise GAError(f"blade {name!r} uses generators outside this algebra")
         if len(set(digits)) != len(digits):
             raise GAError(f"blade {name!r} repeats a generator")
-        sign = 1
-        ds = list(digits)
-        for i in range(len(ds)):  # bubble sort, one transposition per swap
-            for j in range(len(ds) - 1 - i):
-                if ds[j] > ds[j + 1]:
-                    ds[j], ds[j + 1] = ds[j + 1], ds[j]
-                    sign = -sign
-        return "e" + "".join(map(str, ds)), sign
+        # sorting flips the sign once per inverted pair
+        swaps = sum(a > b for i, a in enumerate(digits) for b in digits[i + 1:])
+        return "e" + "".join(map(str, sorted(digits))), -1 if swaps % 2 else 1
 
     def __repr__(self):
         s = self.signature
@@ -478,12 +446,9 @@ class Multivector:
         return Multivector(self.algebra, out)
 
     def grades_present(self, tol: float = 0.0) -> tuple[int, ...]:
-        present = []
-        for g in range(self.algebra.gens + 1):
-            sl = self.algebra.grade_slice[g]
-            if np.any(np.abs(self.coeffs[sl]) > tol):
-                present.append(g)
-        return tuple(present)
+        # fmax skips a NaN slot, as a per-grade any(|c| > tol) would
+        peak = np.fmax.reduceat(np.abs(self.coeffs), self.algebra.grade_start)
+        return tuple(np.flatnonzero(peak > tol).tolist())
 
     # -- inspection ----------------------------------------------------------
 

@@ -2,10 +2,13 @@
 
 The complement map ``j_map`` sends each basis blade to its complementary
 blade using only reordering signs, never the metric, so it survives
-degenerate signatures.  Signs are chosen per complementary pair (b, c):
-the lower-grade member b gets ``outer(b, j_map(b)) = +I`` and its partner
-reuses the same sign, which makes the map a strict involution,
-``j_map(j_map(x)) = x``.  With an involutive map the shuffle identity
+degenerate signatures.  Complementing reverses the (grade, bitmask)
+order, so the partner of position i is position ``size - 1 - i``.  Signs
+are chosen per complementary pair (b, c): the member b that comes first
+in that order gets ``outer(b, j_map(b)) = +I``, the sign
+``outer_sign[b, c]``, and its partner reuses the same sign, which makes
+the map a strict involution, ``j_map(j_map(x)) = x``.  With an
+involutive map the shuffle identity
 ``j_map(meet(x, y)) = join(j_map(x), j_map(y))`` holds with no stray
 signs at any grade.
 
@@ -19,23 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, GAError, Multivector, popcount, reorder_sign
+from .algebra import Algebra, GAError, Multivector
 
 
 def _tables(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
     """Complement partner and sign of every blade; read via ``alg.cached``."""
-    full = alg.size - 1
-    partner = np.zeros(alg.size, dtype=np.int32)
-    sign = np.zeros(alg.size, dtype=np.int8)
-    for pos, mask in enumerate(alg.mask_of):
-        comp = full ^ mask
-        partner[pos] = alg.pos_of[comp]
-        ga, gc = popcount(mask), popcount(comp)
-        if ga < gc or (ga == gc and mask < comp):
-            sign[pos] = reorder_sign(mask, comp)
-        else:
-            sign[pos] = reorder_sign(comp, mask)
-    return partner, sign
+    partner = np.arange(alg.size - 1, -1, -1, dtype=np.int32)
+    lower = np.minimum(partner, partner[::-1])
+    return partner, alg.outer_sign[lower, partner[lower]]
 
 
 def j_map(x: Multivector) -> Multivector:

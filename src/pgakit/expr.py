@@ -163,7 +163,10 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Node:
-        node = self.binary(0)
+        try:
+            node = self.binary(0)
+        except RecursionError:
+            self.fail("expression nests too deeply")
         if self.here.kind != "end":
             self.fail(f"unexpected {self.here.text!r}")
         return node
@@ -236,11 +239,17 @@ def parse(src: str) -> Node:
 
 def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector:
     """Value of ``node``; fails at the first subexpression that is not finite."""
-    value = _value(node, alg, env)
+    try:
+        value = _value(node, alg, env)
+    except RecursionError:
+        raise _error(node, "expression nests too deeply") from None
     if not np.isfinite(value.coeffs).all():
-        raise EvalError(f"line {node.line}, column {node.col}: "
-                        "value is not finite")
+        raise _error(node, "value is not finite")
     return value
+
+
+def _error(node: Node, message: str) -> EvalError:
+    return EvalError(f"line {node.line}, column {node.col}: {message}")
 
 
 def _value(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector:
@@ -250,15 +259,13 @@ def _value(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector
         try:
             return alg.blade(node.name)
         except GAError:
-            raise EvalError(f"line {node.line}, column {node.col}: "
-                            f"no blade {node.name!r} in this algebra") from None
+            raise _error(node, f"no blade {node.name!r} in this algebra") from None
     if isinstance(node, Name):
         bound = env.get(node.ident)
         if bound is None:
-            raise EvalError(f"line {node.line}, column {node.col}: "
-                            f"unbound name {node.ident!r}")
+            raise _error(node, f"unbound name {node.ident!r}")
         if bound.algebra is not alg:
-            raise EvalError(f"{node.ident!r} is bound in a different algebra")
+            raise _error(node, f"{node.ident!r} is bound in a different algebra")
         return bound
     if isinstance(node, Unary):
         x = evaluate(node.operand, alg, env)
@@ -270,7 +277,11 @@ def _value(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector
             return -x
         return polarity(x)
     if isinstance(node, GradeSel):
-        return evaluate(node.operand, alg, env).grade(node.k)
+        x = evaluate(node.operand, alg, env)
+        try:
+            return x.grade(node.k)
+        except GAError as e:
+            raise _error(node, str(e)) from None
     if isinstance(node, Binary):
         a = evaluate(node.left, alg, env)
         b = evaluate(node.right, alg, env)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgakit import algebra as ga
+from pgakit import duality as du
 from pgakit.algebra import AlgebraMismatch, GAError, Signature, SignatureError
 
 from bruteforce import blade_of_mask, mask_of_blade, multiply_blades
@@ -11,13 +14,17 @@ from conftest import random_mv
 
 ASSOC_TOL = 1e-12
 
-ALL_SMALL_SIGNATURES = [
-    Signature(p, q, r)
-    for d in range(4)
-    for p in range(d + 1)
-    for q in range(d + 1 - p)
-    for r in (d - p - q,)
-]
+
+def _signatures(max_gens):
+    return [
+        Signature(p, q, d - p - q)
+        for d in range(max_gens + 1)
+        for p in range(d + 1)
+        for q in range(d + 1 - p)
+    ]
+
+
+ALL_SMALL_SIGNATURES = _signatures(3)
 
 REGISTERED = [
     Signature(3, 0, 1, "dual"),
@@ -99,6 +106,41 @@ def test_brute_force_agreement_all_small_signatures():
                         assert np.array_equal(got.coeffs, expect), where
 
 
+def test_tables_match_brute_force_up_to_max_generators():
+    # sign, result and outer_sign of every blade pair, and the complement of
+    # every blade: 84 signatures, 140,781 pairs
+    signatures = _signatures(ga.MAX_GENERATORS)
+    assert len(signatures) == 84
+    for sig in signatures:
+        alg = ga.build_algebra(sig)
+        metric = dict(enumerate(alg.metric))
+        plain = dict.fromkeys(range(alg.gens), 1)  # keeps the blade a zero square drops
+        blades = [blade_of_mask(m) for m in alg.mask_of]
+        sign = np.zeros((alg.size, alg.size), dtype=int)
+        result = np.zeros_like(sign)
+        outer = np.zeros_like(sign)
+        for i, a in enumerate(blades):
+            for j, b in enumerate(blades):
+                sign[i, j] = multiply_blades(a, b, metric)[0]
+                order, blade = multiply_blades(a, b, plain)
+                result[i, j] = alg.pos_of[mask_of_blade(blade)]
+                outer[i, j] = 0 if set(a) & set(b) else order
+        np.testing.assert_array_equal(alg.sign, sign, err_msg=str(sig))
+        np.testing.assert_array_equal(alg.result, result, err_msg=str(sig))
+        np.testing.assert_array_equal(alg.outer_sign, outer, err_msg=str(sig))
+
+        # both members of a complementary pair carry the sign of lower * upper,
+        # lower being the one of lower grade, or of smaller mask at equal grade
+        partner, comp_sign = du._tables(alg)
+        full = alg.size - 1
+        for i, m in enumerate(alg.mask_of):
+            assert alg.mask_of[partner[i]] == full ^ m, (sig, alg.names[i])
+            lower = min(m, full ^ m, key=lambda k: (len(blade_of_mask(k)), k))
+            want = multiply_blades(blade_of_mask(lower), blade_of_mask(full ^ lower),
+                                   plain)[0]
+            assert comp_sign[i] == want, (sig, alg.names[i])
+
+
 def test_products_sum_in_i_major_order(pga2, pga3, cga3, rng):
     # the kernel must add the blade-pair terms in the order of a loop over
     # the left operand's blades: CSV reruns and check's array_equal rely on it
@@ -120,6 +162,25 @@ def test_products_sum_in_i_major_order(pga2, pga3, cga3, rng):
                 got = getattr(x, kind)(y).coeffs
                 assert np.array_equal(got, want), (alg, kind)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (alg, kind)
+
+
+_QUIET = [math.nan, 0.0, -0.0]  # no tolerance counts these as present
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ga.pga(2), ga.pga(3), ga.cga(3)]))
+def test_grades_present_matches_per_grade_scan(data, alg):
+    tol = data.draw(st.sampled_from([0.0, 1e-12, 1.0, math.inf]) | st.floats(0.0))
+    quiet = st.sampled_from(_QUIET + [tol, -tol])
+    coeffs = data.draw(st.lists(quiet, min_size=alg.size, max_size=alg.size))
+    loud = st.sampled_from([math.inf, -math.inf, 2.0 * tol + 1.0]) | st.floats()
+    for pos, value in data.draw(st.lists(
+            st.tuples(st.integers(0, alg.size - 1), loud), max_size=4)):
+        coeffs[pos] = value
+    want = tuple(
+        g for g in range(alg.gens + 1)
+        if any(abs(c) > tol for c, k in zip(coeffs, alg.grades) if k == g))
+    assert alg.from_coeffs(coeffs).grades_present(tol) == want
 
 
 def test_associativity_check_fires_on_a_corrupt_table():

@@ -3,6 +3,7 @@ import functools
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -289,6 +290,20 @@ class TestEval:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("source, message", [
+        ("<e1>7", "line 1, column 1: grade 7 out of range for this algebra"),
+        ("(" * 3000 + "e1" + ")" * 3000, "expression nests too deeply"),
+        ("~" * 3000 + "e1", "expression nests too deeply"),
+        (" * ".join(["e1"] * 3000), "expression nests too deeply"),
+    ], ids=["grade", "parentheses", "reverses", "product-chain"])
+    def test_error_is_one_positioned_line(self, capsys, source, message):
+        assert main(["eval", source]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert re.fullmatch(r"error: line 1, column \d+: .*", line)
+        assert message in line
 
 
 def _pgakit_child(argv, unbuffered):
