@@ -22,8 +22,9 @@ every coefficient pair, scale it by the product's float sign table (zero
 where the product drops the blade pair) and scatter-add it onto the result
 blade with ``np.bincount``.  Terms are added in i-major order, the order of
 a loop over the left operand's blades, and a zero term never changes a
-sum, so results are bitwise reproducible.  The dense einsum kernel behind
-``gp_dense`` is kept only as an independent check on the tables.
+sum, so results are bitwise reproducible; ``gp_pairs`` drops such terms
+outside chosen slots.  The dense einsum kernel behind ``gp_dense`` is
+kept only as an independent check on the tables.
 
 An algebra names the euclidean model it is, once, from its signature:
 ``model`` and ``n`` are ``("pga", n)`` for a dual (n,0,1) signature,
@@ -306,6 +307,18 @@ def _cayley(alg: Algebra) -> np.ndarray:
     i = np.arange(alg.size)
     c[i[:, None], i[None, :], alg.result] = alg.sign
     return c
+
+
+def gp_pairs(alg: Algebra, left, right, out) -> tuple[np.ndarray, ...]:
+    """Positions (i, j, k) and signs of the nonzero-sign ``gp`` blade pairs
+    from ``left`` × ``right`` slots into ``out`` slots, i-major.  For
+    ascending slots and finite operands, ``bincount(k, (a[i] * sign) *
+    b[j])`` is bitwise ``gp`` there: it drops only ±0.0 terms, and a sum
+    that starts at +0.0 never holds -0.0."""
+    rows, cols = np.array(left)[:, None], np.array(right)
+    bins, sign = alg.result[rows, cols], alg.gp_table[rows, cols]
+    i, j = np.nonzero((sign != 0) & np.isin(bins, out))  # row-major order
+    return rows[i, 0], cols[j], bins[i, j], sign[i, j]
 
 
 @lru_cache(maxsize=None)

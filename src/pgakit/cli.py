@@ -459,10 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", default=None)
     simulate.set_defaults(func=cmd_simulate)
 
-    evaluate = sub.add_parser("eval", help="evaluate one expression")
+    evaluate = sub.add_parser("eval", help="evaluate one expression",
+                              usage="%(prog)s [-h] [--scene SCENE] expression")
     evaluate.add_argument("--scene", default=None)
-    evaluate.add_argument("expression")
-    evaluate.set_defaults(func=cmd_eval)
+    evaluate.add_argument("expression", nargs="?")  # required; see main
+    evaluate.set_defaults(func=cmd_eval, parser=evaluate)
 
     check = sub.add_parser("check", help="run the invariant suites")
     check.add_argument("--seed", type=_seed, default=0)
@@ -491,7 +492,15 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    # argparse takes an expression that starts with a minus for an option
+    if getattr(args, "expression", "") is None and len(extra) == 1 \
+            and not extra[0].startswith("--"):
+        args.expression, extra = extra[0], []
+    if extra:
+        build_parser().error("unrecognized arguments: " + " ".join(extra))
+    if args.func is cmd_eval and args.expression is None:
+        args.parser.error("the following arguments are required: expression")
     try:
         # non-finite values are reported as errors, not as numpy warnings
         with np.errstate(all="ignore"):

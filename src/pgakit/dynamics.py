@@ -15,16 +15,26 @@ moments on the euclidean slots (about the body x, y, z axes), the total
 mass on the ideal slots.  Which slot carries which unit motion, and with
 which sign, is read off the joined axis lines in ``_generator_basis``
 alone; no orientation signs are hard-coded here.
+
+The integrator works on one array of [pose, momentum] coefficients,
+which a ``BodyState`` packs once (refusing an odd-grade part) and each
+step's state carries.  The products are ``gp`` restricted by
+``gp_pairs`` to the slots they can touch: even × bivector for the rates,
+fused into one ``bincount``, and even × even for the space momentum.
+Only ±0.0 terms are dropped, so states, CSV rows and the step at which a
+run diverges are bitwise those of whole-multivector products, down to
+the residue the pose and momentum keep in their scalar and pseudoscalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, TextIO
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, cga, pga
+from .algebra import Algebra, GeometryError, Multivector, cga, gp_pairs, pga
 from .euclid import euclidean_norm, significant_grades
 from .motors import axis_line
 
@@ -119,14 +129,39 @@ class BodyState:
     pose: Multivector
     momentum: Multivector
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.pose.coeffs).all()
-                    and np.isfinite(self.momentum.coeffs).all())
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        """[pose, momentum] coefficients in one array, built and checked on
+        first use: the restricted products drop odd slots, so an odd-grade
+        part (NaN counts) is refused, not silently changed.  rk4_step
+        hands the states it makes their array directly."""
+        for mv in (self.pose, self.momentum):
+            mv.algebra.require("pga", 3)
+        y = np.concatenate((self.pose.coeffs, self.momentum.coeffs))
+        if y.reshape(2, -1)[:, self.pose.algebra.grades % 2 == 1].any():
+            raise GeometryError("pose and momentum must have no odd-grade part")
+        return y
 
 
-def derivatives(state: BodyState, inertia: InertiaOperator):
-    v = inertia.inverse_apply(state.momentum)
-    return state.pose.gp(v) * 0.5, state.momentum.commutator(v)
+def _tables(alg: Algebra):
+    """The fused rate pairs over x = [pose, momentum, the velocity's
+    bivector slots], where the momentum's bivector slots sit in [pose,
+    momentum], and the even × even → even pairs."""
+    n, sl, even = alg.size, alg.grade_slice[2], alg.cached(_even_positions)
+    biv, v = np.arange(sl.start, sl.stop), 2 * n - sl.start  # v's p is x[v + p]
+    gv, vm = gp_pairs(alg, even, biv, even), gp_pairs(alg, biv, even, even)
+    # bins g v, m v, a gap, v m: out[:2n] - out[2n:] is [g v, m v - v m]
+    rates = [np.concatenate(c) for c in zip(
+        (gv[0], gv[1] + v, gv[2], gv[3]),
+        (gv[0] + n, gv[1] + v, gv[2] + n, gv[3]),
+        (vm[0] + v, vm[1] + n, vm[2] + 3 * n, vm[3]))]
+    return (rates, slice(n + sl.start, n + sl.stop),
+            gp_pairs(alg, even, even, even))
+
+
+def _gp(pairs, a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    i, j, k, s = pairs
+    return np.bincount(k, (a[i] * s) * b[j], minlength=size)
 
 
 def energy(state: BodyState, inertia: InertiaOperator) -> float:
@@ -137,28 +172,36 @@ def energy(state: BodyState, inertia: InertiaOperator) -> float:
 
 def spatial_momentum(state: BodyState) -> Multivector:
     """Momentum seen from the space frame; constant along exact motion."""
-    g = state.pose
-    return g.gp(state.momentum).gp(g.reverse())
+    alg, y = state.pose.algebra, state._coeffs
+    pairs, n = alg.cached(_tables)[2], alg.size
+    g = y[:n]
+    return Multivector(alg, _gp(pairs, _gp(pairs, g, y[n:], n),
+                                g * alg.reverse_sign, n))
 
 
 def rk4_step(state: BodyState, inertia: InertiaOperator, h: float,
              renormalize: bool = True) -> BodyState:
-    g, m = state.pose, state.momentum
+    alg, y = state.pose.algebra, state._coeffs
+    (rates, vel, _), n = alg.cached(_tables), alg.size
 
-    def f(gc, mc):
-        return derivatives(BodyState(gc, mc), inertia)
+    def f(y):
+        # [pose', momentum'] = [g v, m v - v m] / 2
+        x = np.concatenate((y, y[vel] / inertia._diag))
+        out = _gp(rates, x, x, 4 * n)
+        return (out[:2 * n] - out[2 * n:]) * 0.5
 
-    k1g, k1m = f(g, m)
-    k2g, k2m = f(g + k1g * (h / 2), m + k1m * (h / 2))
-    k3g, k3m = f(g + k2g * (h / 2), m + k2m * (h / 2))
-    k4g, k4m = f(g + k3g * h, m + k3m * h)
-    g1 = g + (k1g + k2g * 2 + k3g * 2 + k4g) * (h / 6)
-    m1 = m + (k1m + k2m * 2 + k3m * 2 + k4m) * (h / 6)
+    k1 = f(y)
+    k2 = f(y + k1 * (h / 2))
+    k3 = f(y + k2 * (h / 2))
+    k4 = f(y + k3 * h)
+    y1 = y + (k1 + k2 * 2 + k3 * 2 + k4) * (h / 6)
     if renormalize:
         # no null-versor check: a zero norm gives non-finite
         # coefficients, which integrate reports as divergence
-        g1 = g1 / euclidean_norm(g1)
-    return BodyState(g1, m1)
+        y1[:n] /= euclidean_norm(Multivector(alg, y1[:n]))
+    out = BodyState(Multivector(alg, y1[:n]), Multivector(alg, y1[n:]))
+    object.__setattr__(out, "_coeffs", y1)  # even by construction
+    return out
 
 
 def integrate(state: BodyState, inertia: InertiaOperator, h: float,
@@ -177,7 +220,7 @@ def integrate(state: BodyState, inertia: InertiaOperator, h: float,
             observer(0, 0.0, state)
         for i in range(1, steps + 1):
             state = rk4_step(state, inertia, h, renormalize)
-            if not state.is_finite():
+            if not np.isfinite(state._coeffs).all():
                 raise GeometryError(f"integration diverged at step {i}")
             if observer is not None:
                 observer(i, i * h, state)
@@ -191,12 +234,10 @@ def _even_positions(alg: Algebra) -> np.ndarray:
 def csv_row(t: float, state: BodyState, inertia: InertiaOperator) -> str:
     alg = state.pose.algebra
     sl = alg.grade_slice[2]
-    fields = [t]
-    fields.extend(state.pose.coeffs[alg.cached(_even_positions)])
-    fields.extend(state.momentum.coeffs[sl])
-    fields.append(energy(state, inertia))
-    fields.extend(spatial_momentum(state).coeffs[sl])
-    return ",".join("%.17g" % x for x in fields)
+    return ",".join(["%.17g"] * 22) % (
+        t, *state.pose.coeffs[alg.cached(_even_positions)].tolist(),
+        *state.momentum.coeffs[sl].tolist(), energy(state, inertia),
+        *spatial_momentum(state).coeffs[sl].tolist())
 
 
 def write_trajectory(out: TextIO, state: BodyState, inertia: InertiaOperator,

@@ -18,7 +18,10 @@ environment.  Grammar, loosest binding first:
 BLADE is ``e`` plus digits (``e0``, ``e12``, ``e012``); any other word
 is an identifier looked up in the environment.  All binary operators are
 left-associative.  There is deliberately no addition and no assignment:
-anything that needs a sum is built in code and bound to a name.
+anything that needs a sum is built in code and bound to a name.  An
+expression may nest at most ``MAX_DEPTH`` operators deep, with at most
+``MAX_DEPTH`` groups and prefix operators open at once; past that it is
+refused where the limit is crossed, whatever the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ import numpy as np
 
 from .algebra import Algebra, GAError, Multivector
 from .duality import j_map, join, polarity
+
+
+MAX_DEPTH = 100
 
 
 class ParseError(GAError):
@@ -51,6 +57,8 @@ class EvalError(GAError):
 class Node:
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
+    # operators on the longest path down from here, as the parser counts
+    depth: int = field(default=0, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -143,6 +151,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.open = 0  # groups and prefix operators open at this token
 
     @property
     def here(self) -> _Token:
@@ -156,6 +165,16 @@ class _Parser:
     def fail(self, message: str):
         t = self.here
         raise ParseError(message, t.line, t.col)
+
+    def nests(self, t: _Token, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError("expression nests too deeply", t.line, t.col)
+        return depth
+
+    def node(self, t: _Token, cls, *fields) -> Node:
+        """``cls(*fields)`` at t, one operator deeper than its operands."""
+        depth = 1 + max(f.depth for f in fields if isinstance(f, Node))
+        return cls(*fields, line=t.line, col=t.col, depth=self.nests(t, depth))
 
     def expect(self, text: str):
         if self.here.kind != "op" or self.here.text != text:
@@ -178,24 +197,25 @@ class _Parser:
             t = self.advance()
             # climb with bp+1 so equal precedence associates left
             right = self.binary(BINDING[t.text] + 1)
-            left = Binary(t.text, left, right, line=t.line, col=t.col)
+            left = self.node(t, Binary, t.text, left, right)
         return left
 
     def unary(self) -> Node:
         if self.here.kind == "op" and self.here.text in ("~", "!", "-"):
             t = self.advance()
+            self.open = self.nests(t, self.open + 1)
             operand = self.unary()
+            self.open -= 1
             if t.text == "-" and isinstance(operand, Num):
                 # fold so printing a negative literal reparses to itself
                 return Num(-operand.value, line=t.line, col=t.col)
-            return Unary(t.text, operand, line=t.line, col=t.col)
+            return self.node(t, Unary, t.text, operand)
         return self.postfix()
 
     def postfix(self) -> Node:
         node = self.primary()
         while self.here.kind == "op" and self.here.text == "#":
-            t = self.advance()
-            node = Unary("#", node, line=t.line, col=t.col)
+            node = self.node(self.advance(), Unary, "#", node)
         return node
 
     def primary(self) -> Node:
@@ -212,20 +232,20 @@ class _Parser:
         if t.kind == "ident":
             self.advance()
             return Name(t.text, line=t.line, col=t.col)
-        if t.kind == "op" and t.text == "(":
+        if t.kind == "op" and t.text in ("(", "<"):
             self.advance()
+            self.open = self.nests(t, self.open + 1)
             node = self.binary(0)
-            self.expect(")")
-            return node
-        if t.kind == "op" and t.text == "<":
-            self.advance()
-            node = self.binary(0)
+            self.open -= 1
+            if t.text == "(":
+                self.expect(")")
+                return node
             self.expect(">")
             k = self.here
             if k.kind != "number" or not k.text.isdigit():
                 self.fail("grade index must be a plain integer")
             self.advance()
-            return GradeSel(node, int(k.text), line=t.line, col=t.col)
+            return self.node(t, GradeSel, node, int(k.text))
         self.fail("expected a value" if t.kind == "end"
                   else f"unexpected {t.text!r}")
 

@@ -164,6 +164,24 @@ def test_products_sum_in_i_major_order(pga2, pga3, cga3, rng):
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (alg, kind)
 
 
+def test_gp_pairs_is_gp_on_its_slots(pga2, pga3, cga3, rng):
+    # restricted to slot subsets, the kernel must give the full product's
+    # bits on the out slots, sign of zero included, for operands that live
+    # on the left and right slots (signed zeros there too)
+    for alg in (pga2, pga3, cga3):
+        for _ in range(20):
+            left, right, out = (np.flatnonzero(rng.random(alg.size) < 0.5)
+                                for _ in range(3))
+            i, j, k, sign = ga.gp_pairs(alg, left, right, out)
+            assert np.all(sign != 0) and np.isin(k, out).all()
+            a, b = np.zeros(alg.size), np.zeros(alg.size)
+            a[left] = rng.choice([-0.0, 0.0, 1.5, -2.25], len(left))
+            b[right] = rng.normal(size=len(right)) * rng.integers(0, 2, len(right))
+            got = np.bincount(k, (a[i] * sign) * b[j], minlength=alg.size)
+            want = alg.from_coeffs(a).gp(alg.from_coeffs(b)).coeffs
+            assert got[out].tobytes() == want[out].tobytes(), alg
+
+
 _QUIET = [math.nan, 0.0, -0.0]  # no tolerance counts these as present
 
 

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pgakit import cli, dynamics, euclid
+from pgakit import expr as dsl
 from pgakit.cli import SceneError, load_scene, main
 
 SCENES = Path(__file__).parents[1] / "scenes"
@@ -304,6 +305,70 @@ class TestEval:
         [line] = captured.err.splitlines()
         assert re.fullmatch(r"error: line 1, column \d+: .*", line)
         assert message in line
+
+    @pytest.mark.parametrize("argv, result", [
+        (["-e1"], "-1.0*e1"),
+        (["-e1 ^ e2"], "-1.0*e12"),
+        (["--scene", str(SCENES / "perpendicular.json"), "-P"],
+         "1.0*e023 - 1.0*e123"),
+        (["-P", "--scene", str(SCENES / "perpendicular.json")],
+         "1.0*e023 - 1.0*e123"),
+    ], ids=["alone", "spaced", "after-scene", "before-scene"])
+    def test_leading_minus_is_an_expression(self, capsys, argv, result):
+        assert main(["eval", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == result
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--bogus", "e1"], "unrecognized arguments: --bogus"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["e1", "-e2"], "unrecognized arguments: -e2"),
+        (["-e1", "-e2"], "unrecognized arguments: -e1 -e2"),
+        ([], "the following arguments are required: expression"),
+    ], ids=["unknown-option", "unknown-option-alone", "second-expression",
+            "two-expressions", "missing"])
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+def _at_depth(frames, call):
+    """``call()`` from ``frames`` extra Python frames down the stack."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+class TestNestingLimit:
+    SHAPES = {
+        "parentheses": lambda d: "(" * d + "e1" + ")" * d,
+        "reverses": lambda d: "~" * d + "e1",
+        "product-chain": lambda d: " * ".join(["e1"] * (d + 1)),
+        "polarities": lambda d: "e1" + "#" * d,
+        "grades": lambda d: "<" * d + "e1" + ">2" * d,
+    }
+
+    @staticmethod
+    def _eval(source, capsys):
+        code = main(["eval", source])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("frames", [0, 300])
+    def test_limit_holds_at_any_caller_depth(self, capsys, shape, frames):
+        build = self.SHAPES[shape]
+        code, out, _ = _at_depth(
+            frames, lambda: self._eval(build(dsl.MAX_DEPTH), capsys))
+        assert code == 0 and out
+        code, out, err = _at_depth(
+            frames, lambda: self._eval(build(dsl.MAX_DEPTH + 1), capsys))
+        assert code == 1 and out == ""
+        # the column is where the limit is crossed, not where the stack ran out
+        _, _, top_err = self._eval(build(dsl.MAX_DEPTH + 1), capsys)
+        assert err == top_err
+        assert re.fullmatch(r"error: line 1, column \d+: expression nests"
+                            r" too deeply\n", err)
 
 
 def _pgakit_child(argv, unbuffered):

@@ -289,6 +289,74 @@ class TestInvariants:
                 integrate(state, inertia, 1e3, 50)
 
 
+class TestIntermediateAxis:
+    """The tennis-racket instability (Ashbaugh, Chicone & Cushman, J. Dyn.
+    Diff. Eq. 1991): a spin about the middle principal axis tumbles, one
+    about the smallest or the largest axis does not."""
+
+    @pytest.mark.parametrize("axis, flips", [(0, 0), (1, 3), (2, 0)],
+                             ids=["smallest", "middle", "largest"])
+    def test_only_the_middle_axis_flips(self, pga3, axis, flips):
+        inertia = InertiaOperator((1.0, 2.0, 3.0), 1.0)
+        spin = np.full(3, 1e-3)
+        spin[axis] = 10.0
+        state = BodyState(pga3.scalar(1.0),
+                          bivector_from_vectors(pga3, spin, [0, 0, 0]))
+        signs = []
+        integrate(state, inertia, 1e-2, 2000, observer=lambda i, t, s:
+                  signs.append(np.sign(vectors_from_bivector(s.momentum)[0])))
+        signs = np.array(signs)
+        changes = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+        assert changes[axis] == flips
+        assert np.all(signs != 0)
+
+
+class TestEvenState:
+    """The integrator keeps only even-grade slots, so a state with an odd
+    part is refused rather than silently changed."""
+
+    @pytest.mark.parametrize("part, blade, value", [
+        ("pose", "e1", 1e-300), ("pose", "e123", -1.0),
+        ("momentum", "e0", 2.0), ("momentum", "e012", np.nan),
+    ])
+    def test_odd_part_is_refused(self, pga3, part, blade, value):
+        inertia = InertiaOperator((1.0, 2.0, 3.0), 1.0)
+        pose = pga3.scalar(1.0)
+        momentum = bivector_from_vectors(pga3, [1.0, 2.0, 3.0], [0, 0, 0])
+        parts = {"pose": pose, "momentum": momentum}
+        parts[part] = parts[part] + pga3.blade(blade, value)
+        state = BodyState(**parts)
+        with pytest.raises(GeometryError, match="odd-grade part"):
+            integrate(state, inertia, 1e-3, 10)
+        with pytest.raises(GeometryError, match="odd-grade part"):
+            rk4_step(state, inertia, 1e-3)
+
+    def test_even_residue_and_negative_zero_are_kept(self, pga3):
+        inertia = InertiaOperator((1.0, 2.0, 3.0), 1.0)
+        momentum = bivector_from_vectors(pga3, [1.0, 2.0, 3.0], [0, 0, 0])
+        momentum = momentum + pga3.blade("e0123", 1e-17) \
+            + pga3.blade("e1", -0.0)
+        out = rk4_step(BodyState(pga3.scalar(1.0), momentum), inertia, 1e-3)
+        assert out.momentum["e0123"] == 1e-17
+
+    def test_checked_once_per_run_not_per_step(self, pga3, monkeypatch):
+        inertia = InertiaOperator((1.0, 2.0, 3.0), 1.0)
+        pose = pga3.scalar(1.0)
+        momentum = bivector_from_vectors(pga3, [1.0, 2.0, 3.0], [0.5, 0, 0])
+        checks = []
+        require = type(pga3).require
+        monkeypatch.setattr(type(pga3), "require", lambda alg, *a: (
+            checks.append(a), require(alg, *a))[1])
+
+        def count(steps):
+            checks.clear()
+            integrate(BodyState(pose, momentum), inertia, 1e-3, steps,
+                      observer=lambda *_: None)
+            return len(checks)
+
+        assert count(100) == count(1) > 0
+
+
 class TestTrajectoryOutput:
     def test_header_and_shape(self, pga3):
         inertia = InertiaOperator((1.0, 2.0, 3.0), 1.0)
