@@ -17,14 +17,16 @@ Coefficients are stored densely, ordered by (grade, bitmask).  The text
 form ``"1.5*e12 + 2.0*e0"`` round-trips exactly because coefficients are
 printed with ``repr``.
 
-The geometric, outer and left-contraction products share one kernel: form
-every coefficient pair, scale it by the product's float sign table (zero
-where the product drops the blade pair) and scatter-add it onto the result
-blade with ``np.bincount``.  Terms are added in i-major order, the order of
-a loop over the left operand's blades, and a zero term never changes a
-sum, so results are bitwise reproducible; ``gp_pairs`` drops such terms
-outside chosen slots.  The dense einsum kernel behind ``gp_dense`` is
-kept only as an independent check on the tables.
+The geometric, outer and left-contraction products share one kernel,
+``Algebra.product``.  Each product is built once as its nonzero-sign
+blade pairs (i, j, k, sign) in i-major order, the order of a loop over
+the left operand's blades, and the kernel adds every term
+``(a[i] * sign) * b[j]`` onto blade k with ``np.bincount`` in that order,
+so results are bitwise reproducible; ``restrict`` keeps the order.  A
+zero-sign pair has no term: its ±0.0 never changed a sum that starts at
++0.0, and a non-finite operand no longer turns it into ``inf * 0 = NaN``.
+The dense einsum kernel behind ``gp_dense`` is kept only as an
+independent check on the tables.
 
 An algebra names the euclidean model it is, once, from its signature:
 ``model`` and ``n`` are ``("pga", n)`` for a dual (n,0,1) signature,
@@ -146,13 +148,15 @@ class Algebra:
         self.result = np.argsort(masks)[masks[:, None] ^ masks].astype(np.int32)
         self.outer_sign = np.where(masks[:, None] & masks, 0, order).astype(np.int8)
 
-        # float sign tables for the shared product kernel
+        # each product's nonzero-sign blade pairs (i, j, k, sign), i-major
         g = self.grades
-        self.result_flat = self.result.ravel().astype(np.intp)
-        self.gp_table = self.sign.astype(float)
-        self.outer_table = self.outer_sign.astype(float)
-        self.contract_table = np.where(
-            g[self.result] == g[None, :] - g[:, None], self.gp_table, 0.0)
+        contract = np.where(g[self.result] == g[None, :] - g[:, None], self.sign, 0)
+        self.pairs = {}
+        for kind, sign in (("gp", self.sign), ("outer", self.outer_sign),
+                           ("left_contract", contract)):
+            i, j = np.nonzero(sign)  # row-major: i-major
+            self.pairs[kind] = (i, j, self.result[i, j].astype(np.intp),
+                                sign[i, j].astype(float))
 
         k = self.grades.astype(np.int64)
         self.reverse_sign = np.where(k * (k - 1) // 2 % 2, -1, 1).astype(np.int8)
@@ -191,6 +195,16 @@ class Algebra:
         if key not in self._cache:
             self._cache[key] = build(self, *args)
         return self._cache[key]
+
+    def product(self, pairs, a: np.ndarray, b: np.ndarray,
+                bins: int | None = None) -> np.ndarray:
+        """The one product kernel: each pair's term (a[i] * sign) * b[j],
+        the order of a loop over blades, added onto bin k in pair order."""
+        i, j, k, sign = pairs
+        terms = a[i]  # a fresh array, scaled in place
+        terms *= sign
+        terms *= b[j]
+        return np.bincount(k, terms, minlength=bins or self.size)
 
     @property
     def cayley(self) -> np.ndarray:
@@ -309,16 +323,10 @@ def _cayley(alg: Algebra) -> np.ndarray:
     return c
 
 
-def gp_pairs(alg: Algebra, left, right, out) -> tuple[np.ndarray, ...]:
-    """Positions (i, j, k) and signs of the nonzero-sign ``gp`` blade pairs
-    from ``left`` × ``right`` slots into ``out`` slots, i-major.  For
-    ascending slots and finite operands, ``bincount(k, (a[i] * sign) *
-    b[j])`` is bitwise ``gp`` there: it drops only ±0.0 terms, and a sum
-    that starts at +0.0 never holds -0.0."""
-    rows, cols = np.array(left)[:, None], np.array(right)
-    bins, sign = alg.result[rows, cols], alg.gp_table[rows, cols]
-    i, j = np.nonzero((sign != 0) & np.isin(bins, out))  # row-major order
-    return rows[i, 0], cols[j], bins[i, j], sign[i, j]
+def restrict(pairs, left, right) -> tuple[np.ndarray, ...]:
+    """The ``pairs`` from ``left`` × ``right`` slots, still i-major."""
+    keep = np.isin(pairs[0], left) & np.isin(pairs[1], right)
+    return tuple(p[keep] for p in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -395,19 +403,15 @@ class Multivector:
 
     # -- products ----------------------------------------------------------
 
-    def _product(self, other: "Multivector", table: np.ndarray) -> "Multivector":
+    def _product(self, other: "Multivector", kind: str) -> "Multivector":
         other = self._peer(other)
         alg = self.algebra
-        # (a_i * sign) * b_j, the loop's own order: a zero sign gives 0,
-        # not inf * 0, when a_i * b_j alone would overflow
-        terms = self.coeffs[:, None] * table
-        terms *= other.coeffs
-        return Multivector(alg, np.bincount(alg.result_flat, weights=terms.ravel(),
-                                            minlength=alg.size))
+        return Multivector(alg, alg.product(alg.pairs[kind], self.coeffs,
+                                            other.coeffs))
 
     def gp(self, other: "Multivector") -> "Multivector":
         """Geometric product via the multiplication tables."""
-        return self._product(other, self.algebra.gp_table)
+        return self._product(other, "gp")
 
     def gp_dense(self, other: "Multivector") -> "Multivector":
         """Same product through the dense einsum kernel (bench path)."""
@@ -418,11 +422,11 @@ class Multivector:
         )
 
     def outer(self, other: "Multivector") -> "Multivector":
-        return self._product(other, self.algebra.outer_table)
+        return self._product(other, "outer")
 
     def left_contract(self, other: "Multivector") -> "Multivector":
         """Lower-onto-higher inner product: grade k-j part of each blade pair."""
-        return self._product(other, self.algebra.contract_table)
+        return self._product(other, "left_contract")
 
     def commutator(self, other: "Multivector") -> "Multivector":
         other = self._peer(other)

@@ -18,9 +18,10 @@ alone; no orientation signs are hard-coded here.
 
 The integrator works on one array of [pose, momentum] coefficients,
 which a ``BodyState`` packs once (refusing an odd-grade part) and each
-step's state carries.  The products are ``gp`` restricted by
-``gp_pairs`` to the slots they can touch: even × bivector for the rates,
-fused into one ``bincount``, and even × even for the space momentum.
+step's state carries.  The products run on the algebra's one kernel with
+its ``gp`` pairs restricted to the slots they can touch: even × bivector
+for the rates, fused into one call, and even × even for the space
+momentum.
 Only ±0.0 terms are dropped, so states, CSV rows and the step at which a
 run diverges are bitwise those of whole-multivector products, down to
 the residue the pose and momentum keep in their scalar and pseudoscalar.
@@ -34,7 +35,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, cga, gp_pairs, pga
+from .algebra import Algebra, GeometryError, Multivector, cga, pga, restrict
 from .euclid import euclidean_norm, significant_grades
 from .motors import axis_line
 
@@ -99,9 +100,9 @@ class InertiaOperator:
         object.__setattr__(self, "mass", float(self.mass))
         if len(self.moments) != 3:
             raise GeometryError("expected three rotational moments")
-        if min(self.moments) <= 0.0 or self.mass <= 0.0:
-            raise GeometryError(
-                "singular inertia: moments and mass must be positive")
+        if not all(0.0 < w < np.inf for w in self.moments + (self.mass,)):
+            raise GeometryError("singular inertia: moments and mass must be"
+                                " positive and finite")
         motion_of_slot = np.abs(pga(3).cached(_generator_basis)).argmax(axis=0)
         weights = np.array(self.moments + (self.mass,) * 3)
         object.__setattr__(self, "_diag", weights[motion_of_slot])
@@ -149,34 +150,29 @@ def _tables(alg: Algebra):
     momentum], and the even × even → even pairs."""
     n, sl, even = alg.size, alg.grade_slice[2], alg.cached(_even_positions)
     biv, v = np.arange(sl.start, sl.stop), 2 * n - sl.start  # v's p is x[v + p]
-    gv, vm = gp_pairs(alg, even, biv, even), gp_pairs(alg, biv, even, even)
+    gp = alg.pairs["gp"]
+    gv, vm = restrict(gp, even, biv), restrict(gp, biv, even)
     # bins g v, m v, a gap, v m: out[:2n] - out[2n:] is [g v, m v - v m]
     rates = [np.concatenate(c) for c in zip(
         (gv[0], gv[1] + v, gv[2], gv[3]),
         (gv[0] + n, gv[1] + v, gv[2] + n, gv[3]),
         (vm[0] + v, vm[1] + n, vm[2] + 3 * n, vm[3]))]
-    return (rates, slice(n + sl.start, n + sl.stop),
-            gp_pairs(alg, even, even, even))
-
-
-def _gp(pairs, a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    i, j, k, s = pairs
-    return np.bincount(k, (a[i] * s) * b[j], minlength=size)
+    return rates, slice(n + sl.start, n + sl.stop), restrict(gp, even, even)
 
 
 def energy(state: BodyState, inertia: InertiaOperator) -> float:
-    sl = state.momentum.algebra.grade_slice[2]
-    v = inertia.inverse_apply(state.momentum)
-    return 0.5 * float(v.coeffs[sl] @ state.momentum.coeffs[sl])
+    alg = state.momentum.algebra
+    alg.require("pga", 3)
+    m = state.momentum.coeffs[alg.grade_slice[2]]
+    return 0.5 * float((m / inertia._diag) @ m)
 
 
 def spatial_momentum(state: BodyState) -> Multivector:
     """Momentum seen from the space frame; constant along exact motion."""
     alg, y = state.pose.algebra, state._coeffs
-    pairs, n = alg.cached(_tables)[2], alg.size
-    g = y[:n]
-    return Multivector(alg, _gp(pairs, _gp(pairs, g, y[n:], n),
-                                g * alg.reverse_sign, n))
+    pairs, g = alg.cached(_tables)[2], y[:alg.size]
+    return Multivector(alg, alg.product(
+        pairs, alg.product(pairs, g, y[alg.size:]), g * alg.reverse_sign))
 
 
 def rk4_step(state: BodyState, inertia: InertiaOperator, h: float,
@@ -187,7 +183,7 @@ def rk4_step(state: BodyState, inertia: InertiaOperator, h: float,
     def f(y):
         # [pose', momentum'] = [g v, m v - v m] / 2
         x = np.concatenate((y, y[vel] / inertia._diag))
-        out = _gp(rates, x, x, 4 * n)
+        out = alg.product(rates, x, x, 4 * n)
         return (out[:2 * n] - out[2 * n:]) * 0.5
 
     k1 = f(y)
@@ -211,8 +207,8 @@ def integrate(state: BodyState, inertia: InertiaOperator, h: float,
     """Fixed-step fourth-order run; the observer sees every state
     including the initial one."""
     state.pose.algebra.require("pga", 3)
-    if h <= 0.0 or steps < 0:
-        raise GeometryError("need a positive step size and steps >= 0")
+    if not 0.0 < h < np.inf or steps < 0:
+        raise GeometryError("need a positive finite step size and steps >= 0")
     # overflow on the way to the finite check is reported as divergence,
     # not as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):

@@ -107,11 +107,22 @@ class TestInertia:
             inertia.inverse_apply(inertia.apply(v))
         assert len(pga3._cache) == before
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(GeometryError):
-            InertiaOperator((1.0, 0.0, 1.0), 1.0)
-        with pytest.raises(GeometryError):
-            InertiaOperator((1.0, 1.0, 1.0), -2.0)
+    @pytest.mark.parametrize("moments, mass", [
+        ((1.0, 0.0, 1.0), 1.0), ((1.0, 1.0, 1.0), -2.0),
+        ((math.nan, 1.0, 2.0), 1.0), ((1.0, 2.0, 3.0), math.nan),
+        ((1.0, 2.0, math.inf), 1.0), ((1.0, 2.0, 3.0), math.inf),
+    ], ids=["zero-moment", "negative-mass", "nan-moment", "nan-mass",
+            "inf-moment", "inf-mass"])
+    def test_rejects_nonpositive(self, moments, mass):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            InertiaOperator(moments, mass)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_integrate_rejects_step_size(self, pga3, h):
+        inertia = InertiaOperator((1.0, 2.0, 3.0), 1.0)
+        state = rest_state(pga3, [0.1, 0.2, 0.3], [0, 0, 0], inertia)
+        with pytest.raises(GeometryError, match="positive finite step size"):
+            integrate(state, inertia, h, 3)
 
     def test_energy_quadratic(self, pga3):
         inertia = InertiaOperator((2.0, 3.0, 5.0), 4.0)
