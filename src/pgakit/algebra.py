@@ -17,7 +17,8 @@ Coefficients are stored densely, ordered by (grade, bitmask).  The text
 form ``"1.5*e12 + 2.0*e0"`` round-trips exactly because coefficients are
 printed with ``repr``.
 
-The geometric, outer and left-contraction products share one kernel,
+The geometric, outer and left-contraction products, and the regressive
+join that ``duality`` derives from ``outer``, share one kernel,
 ``Algebra.product``.  Each product is built once as its nonzero-sign
 blade pairs (i, j, k, sign) in i-major order, the order of a loop over
 the left operand's blades, and the kernel adds every term
@@ -37,6 +38,7 @@ which returns n or raises ``GeometryError`` naming the algebra it needs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -465,7 +467,7 @@ class Multivector:
     def grades_present(self, tol: float = 0.0) -> tuple[int, ...]:
         # fmax skips a NaN slot, as a per-grade any(|c| > tol) would
         peak = np.fmax.reduceat(np.abs(self.coeffs), self.algebra.grade_start)
-        return tuple(np.flatnonzero(peak > tol).tolist())
+        return tuple(g for g, p in enumerate(peak.tolist()) if p > tol)
 
     # -- inspection ----------------------------------------------------------
 
@@ -476,8 +478,12 @@ class Multivector:
         return float(self.coeffs[self.algebra.pos_of_name(blade_name)])
 
     def norm(self) -> float:
-        """Plain coefficient 2-norm; metric-blind, used for residual checks."""
-        return float(np.linalg.norm(self.coeffs))
+        """Plain coefficient 2-norm; metric-blind, used for residual checks.
+
+        ``np.linalg.norm``'s own 1-D path (``dot``, then a correctly
+        rounded square root), so the value is bitwise that one."""
+        c = self.coeffs
+        return math.sqrt(c.dot(c))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.coeffs) <= tol))

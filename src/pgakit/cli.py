@@ -102,11 +102,7 @@ def _field(block: dict, key: str, kind, default=None):
 
 def _build_entity(alg: Algebra, name: str, blocks) -> Multivector:
     block = _field(blocks, name, dict)
-    try:
-        usable = dsl.parse(name) == dsl.Name(name)  # e1 parses as a blade
-    except dsl.ParseError:
-        usable = False
-    if not usable:
+    if not dsl.is_name(name):  # e1 parses as a blade
         raise SceneError(f"entity {name!r}: expressions cannot refer to"
                          " this name; use one identifier that is not a blade")
     model, n = alg.model, alg.n

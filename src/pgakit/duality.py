@@ -12,7 +12,13 @@ involutive map the shuffle identity
 ``j_map(meet(x, y)) = join(j_map(x), j_map(y))`` holds with no stray
 signs at any grade.
 
-``join`` is the regressive product ``j_map(outer(j_map(x), j_map(y)))``.
+``join`` is the regressive product ``j_map(outer(j_map(x), j_map(y)))``,
+run as one pair list on the shared kernel ``Algebra.product``: each
+``outer`` pair (a, b, k, s) moves through the complement to
+(P a, P b, P k, s * c[P a] * c[P b] * c[k]), with partner P and sign c,
+and keeps its place in the list.  Every sign is ±1, so each value is
+bitwise that of the composition; only a zero slot may differ in sign,
+where the composition's last ``j_map`` turns a +0.0 sum into -0.0.
 In a dual algebra the native wedge intersects flats, so ``meet`` is just
 ``outer`` there; ``join`` then spans.  ``polarity`` multiplies by the
 pseudoscalar and is not invertible when the metric is degenerate.
@@ -40,10 +46,23 @@ def j_map(x: Multivector) -> Multivector:
     return Multivector(x.algebra, out)
 
 
+def _join_pairs(alg: Algebra) -> tuple[np.ndarray, ...]:
+    """``outer``'s pairs moved through the complement; via ``alg.cached``."""
+    partner, sign = alg.cached(_tables)
+    p = partner.astype(np.intp)
+    i, j, k, s = alg.pairs["outer"]
+    return p[i], p[j], p[k], s * sign[p[i]] * sign[p[j]] * sign[k]
+
+
 def join(x: Multivector, y: Multivector) -> Multivector:
-    """Regressive product: the span of two flats in a dual algebra."""
+    """Regressive product: the span of two flats in a dual algebra, one
+    kernel call over the complemented ``outer`` pairs.  Values equal
+    ``j_map(j_map(x).outer(j_map(y)))``'s, except that a zero slot may
+    be +0.0 where the composition gives -0.0."""
     x._peer(y)
-    return j_map(j_map(x).outer(j_map(y)))
+    alg = x.algebra
+    return Multivector(alg, alg.product(alg.cached(_join_pairs), x.coeffs,
+                                        y.coeffs))
 
 
 def meet(x: Multivector, y: Multivector) -> Multivector:

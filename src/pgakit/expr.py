@@ -100,13 +100,20 @@ BINDING = {"&": 10, "^": 20, "|": 30, "*": 40}
 
 # -- tokenizer ---------------------------------------------------------------
 
+_WORD = re.compile(r"[A-Za-z_]\w*")
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<word>[A-Za-z_]\w*)"
+    rf"|(?P<word>{_WORD.pattern})"
     r"|(?P<op>[-&^|*~!#()<>])"
 )
 _BLADE = re.compile(r"e\d+\Z")
+
+
+def is_name(text: str) -> bool:
+    """Whether ``text`` parses as exactly one identifier: a word, as the
+    tokenizer reads one, that is not a blade."""
+    return _WORD.fullmatch(text) is not None and _BLADE.match(text) is None
 
 
 @dataclass(frozen=True)

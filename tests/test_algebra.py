@@ -206,6 +206,21 @@ def test_grades_present_matches_per_grade_scan(data, alg):
     assert alg.from_coeffs(coeffs).grades_present(tol) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ga.pga(2), ga.pga(3), ga.cga(3)]))
+def test_norm_is_numpy_norm_bitwise(data, alg):
+    # every tolerance in euclid and motors scales with this value
+    special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200,
+                               math.inf, math.nan])
+    coeffs = np.array(data.draw(st.lists(
+        st.floats() | special, min_size=alg.size, max_size=alg.size)))
+    with np.errstate(over="ignore"):  # both overflow in the same dot
+        got = alg.from_coeffs(coeffs).norm()
+        want = np.linalg.norm(coeffs)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
 def test_associativity_check_fires_on_a_corrupt_table():
     alg = ga.Algebra(Signature(3, 0, 0))
     alg.sign[3, 5] = -alg.sign[3, 5]

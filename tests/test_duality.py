@@ -101,3 +101,60 @@ def _random_homogeneous(alg, grade, rng):
     sl = alg.grade_slice[grade]
     c[sl] = rng.uniform(-1, 1, sl.stop - sl.start)
     return alg.from_coeffs(c)
+
+
+def _composed_join(x, y):
+    return du.j_map(du.j_map(x).outer(du.j_map(y)))
+
+
+def _oracle_operand(alg, rng):
+    """Dense, sparse with signed zeros, 1e200-scaled or infinite slots."""
+    c = rng.uniform(-2.0, 2.0, alg.size)
+    if rng.random() < 0.5:
+        zero = rng.random(alg.size) < rng.random()
+        c[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    if rng.random() < 0.2:
+        c *= 1e200
+    if rng.random() < 0.1:
+        c[rng.integers(alg.size)] = rng.choice([np.inf, -np.inf])
+    return alg.from_coeffs(c)
+
+
+@pytest.mark.parametrize("model", ["pga2", "pga3", "cga3"])
+def test_join_is_the_complemented_outer_product(model, request):
+    # the fused pair list against J(J(x) ^ J(y)): every value is the same,
+    # and where the bits differ the composition's last j_map turned the
+    # kernel's +0.0 into -0.0
+    alg = request.getfixturevalue(model)
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        x, y = _oracle_operand(alg, rng), _oracle_operand(alg, rng)
+        with np.errstate(all="ignore"):  # 1e200 products overflow, inf * 0
+            got = du.join(x, y).coeffs
+            want = _composed_join(x, y).coeffs
+        assert np.array_equal(got, want, equal_nan=True)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert np.all(got[differ] == 0.0) and np.all(want[differ] == 0.0)
+        assert not np.signbit(got[differ]).any()
+
+
+def test_join_is_one_kernel_call(pga2, pga3, cga3, monkeypatch):
+    calls = {"product": 0, "j_map": 0}
+    product, j_map = ga.Algebra.product, du.j_map
+
+    def counted_product(*args, **kwargs):
+        calls["product"] += 1
+        return product(*args, **kwargs)
+
+    def counted_j_map(x):
+        calls["j_map"] += 1
+        return j_map(x)
+
+    monkeypatch.setattr(ga.Algebra, "product", counted_product)
+    monkeypatch.setattr(du, "j_map", counted_j_map)
+    for alg in (pga2, pga3, cga3):
+        x, y = alg.blade("e1"), alg.blade("e2")
+        for route in (du.join, type(x).__and__):
+            calls.update(product=0, j_map=0)
+            route(x, y)
+            assert calls == {"product": 1, "j_map": 0}, (alg, route)

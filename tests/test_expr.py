@@ -15,6 +15,7 @@ from pgakit.expr import (
     ParseError,
     Unary,
     evaluate,
+    is_name,
     parse,
     to_text,
 )
@@ -79,6 +80,31 @@ class TestParsing:
         with pytest.raises(ParseError, match="out of range") as err:
             parse("e0 *\n 1e400")
         assert err.value.line == 2 and err.value.col == 2
+
+
+def _parses_to_itself(text):
+    """The rule ``is_name`` stands for: text parses to the name it spells."""
+    try:
+        return parse(text) == Name(text)
+    except ParseError:
+        return False
+
+
+class TestNames:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text() | st.from_regex(r"\s?[A-Za-z_]?\w*\s?", fullmatch=True))
+    def test_agrees_with_the_parser(self, text):
+        assert is_name(text) == _parses_to_itself(text)
+
+    @pytest.mark.parametrize("text, usable", [
+        ("", False), (" P", False), ("P\n", False), ("e0", False),
+        ("e12x", True), ("_", True), ("1a", False), ("P\u00e9", True),
+        ("\u00e9", False), ("e\u0661", False),
+        ("(" * 200 + "P" + ")" * 200, False),
+    ])
+    def test_cases(self, text, usable):
+        assert is_name(text) is usable
+        assert _parses_to_itself(text) is usable
 
 
 names = st.sampled_from(["a", "b", "g", "P", "Pi", "x_1"]).map(Name)
