@@ -136,14 +136,18 @@ def _finite(token: str) -> str:
 
 def load_scene(path: str) -> Scene:
     try:
-        with open(path) as f:
+        # RFC 8259: JSON exchanged between systems is UTF-8
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f, parse_float=lambda t: float(_finite(t)),
                             parse_int=lambda t: int(_finite(t)),
                             parse_constant=_finite)
     except OSError as e:
         raise SceneError(f"cannot read scene: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SceneError(f"scene is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SceneError("scene is not valid JSON:"
+                         " arrays and objects nest too deeply") from None
     if not isinstance(doc, dict):
         raise SceneError("scene must be a JSON object")
 

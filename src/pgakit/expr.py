@@ -22,6 +22,7 @@ anything that needs a sum is built in code and bound to a name.  An
 expression may nest at most ``MAX_DEPTH`` operators deep, with at most
 ``MAX_DEPTH`` groups and prefix operators open at once; past that it is
 refused where the limit is crossed, whatever the caller's stack depth.
+Parsing and evaluation are loops over explicit stacks, not recursion.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ class EvalError(GAError):
 class Node:
     line: int = field(default=0, compare=False, kw_only=True)
     col: int = field(default=0, compare=False, kw_only=True)
-    # operators on the longest path down from here, as the parser counts
-    depth: int = field(default=0, compare=False, repr=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -153,112 +152,97 @@ def _tokenize(src: str) -> list[_Token]:
 
 # -- parser ------------------------------------------------------------------
 
+_OPENERS = ("~", "!", "-", "(", "<")  # prefix operators and brackets
+_CLOSER = {"(": ")", "<": ">"}
+# how tightly a stacked operator binds: prefixes tighter than any binary
+# operator, brackets looser than anything that can follow them
+_STACKED = {**BINDING, "~": 50, "!": 50, "-": 50, "(": -1, "<": -1}
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.open = 0  # groups and prefix operators open at this token
 
-    @property
-    def here(self) -> _Token:
-        return self.tokens[self.i]
+def _fail(t: _Token, message: str) -> ParseError:
+    return ParseError(message, t.line, t.col)
 
-    def advance(self) -> _Token:
-        t = self.here
-        self.i += 1
-        return t
 
-    def fail(self, message: str):
-        t = self.here
-        raise ParseError(message, t.line, t.col)
+def _nests(t: _Token, levels: int) -> int:
+    if levels > MAX_DEPTH:
+        raise _fail(t, "expression nests too deeply")
+    return levels
 
-    def nests(self, t: _Token, depth: int) -> int:
-        if depth > MAX_DEPTH:
-            raise ParseError("expression nests too deeply", t.line, t.col)
-        return depth
 
-    def node(self, t: _Token, cls, *fields) -> Node:
-        """``cls(*fields)`` at t, one operator deeper than its operands."""
-        depth = 1 + max(f.depth for f in fields if isinstance(f, Node))
-        return cls(*fields, line=t.line, col=t.col, depth=self.nests(t, depth))
+def _leaf(t: _Token) -> Node:
+    if t.kind == "number":
+        value = float(t.text)
+        if not math.isfinite(value):
+            raise _fail(t, f"number {t.text!r} is out of range")
+        return Num(value, line=t.line, col=t.col)
+    if t.kind == "blade":
+        return Blade(t.text, line=t.line, col=t.col)
+    if t.kind == "ident":
+        return Name(t.text, line=t.line, col=t.col)
+    raise _fail(t, "expected a value" if t.kind == "end"
+                else f"unexpected {t.text!r}")
 
-    def expect(self, text: str):
-        if self.here.kind != "op" or self.here.text != text:
-            self.fail(f"expected {text!r}")
-        return self.advance()
 
-    def parse(self) -> Node:
-        try:
-            node = self.binary(0)
-        except RecursionError:
-            self.fail("expression nests too deeply")
-        if self.here.kind != "end":
-            self.fail(f"unexpected {self.here.text!r}")
-        return node
-
-    def binary(self, min_bp: int) -> Node:
-        left = self.unary()
-        while (self.here.kind == "op" and self.here.text in BINDING
-               and BINDING[self.here.text] >= min_bp):
-            t = self.advance()
-            # climb with bp+1 so equal precedence associates left
-            right = self.binary(BINDING[t.text] + 1)
-            left = self.node(t, Binary, t.text, left, right)
-        return left
-
-    def unary(self) -> Node:
-        if self.here.kind == "op" and self.here.text in ("~", "!", "-"):
-            t = self.advance()
-            self.open = self.nests(t, self.open + 1)
-            operand = self.unary()
-            self.open -= 1
-            if t.text == "-" and isinstance(operand, Num):
-                # fold so printing a negative literal reparses to itself
-                return Num(-operand.value, line=t.line, col=t.col)
-            return self.node(t, Unary, t.text, operand)
-        return self.postfix()
-
-    def postfix(self) -> Node:
-        node = self.primary()
-        while self.here.kind == "op" and self.here.text == "#":
-            node = self.node(self.advance(), Unary, "#", node)
-        return node
-
-    def primary(self) -> Node:
-        t = self.here
-        if t.kind == "number":
-            value = float(t.text)
-            if not math.isfinite(value):
-                self.fail(f"number {t.text!r} is out of range")
-            self.advance()
-            return Num(value, line=t.line, col=t.col)
-        if t.kind == "blade":
-            self.advance()
-            return Blade(t.text, line=t.line, col=t.col)
-        if t.kind == "ident":
-            self.advance()
-            return Name(t.text, line=t.line, col=t.col)
-        if t.kind == "op" and t.text in ("(", "<"):
-            self.advance()
-            self.open = self.nests(t, self.open + 1)
-            node = self.binary(0)
-            self.open -= 1
-            if t.text == "(":
-                self.expect(")")
-                return node
-            self.expect(">")
-            k = self.here
-            if k.kind != "number" or not k.text.isdigit():
-                self.fail("grade index must be a plain integer")
-            self.advance()
-            return self.node(t, GradeSel, node, int(k.text))
-        self.fail("expected a value" if t.kind == "end"
-                  else f"unexpected {t.text!r}")
+def _reduce(t: _Token, values: list[tuple[Node, int]]) -> None:
+    """Apply the operator ``t`` to the operands on top of ``values``, as a
+    node one operator deeper than they are."""
+    node, depth = values.pop()
+    if t.text in BINDING:
+        left, left_depth = values.pop()
+        node = Binary(t.text, left, node, line=t.line, col=t.col)
+        depth = max(left_depth, depth)
+    elif t.text == "-" and isinstance(node, Num):
+        # fold so printing a negative literal reparses to itself
+        values.append((Num(-node.value, line=t.line, col=t.col), 0))
+        return
+    else:
+        node = Unary(t.text, node, line=t.line, col=t.col)
+    values.append((node, _nests(t, depth + 1)))
 
 
 def parse(src: str) -> Node:
-    return _Parser(_tokenize(src)).parse()
+    """Precedence climbing (shunting-yard) over two explicit stacks."""
+    tokens = iter(_tokenize(src))
+    values: list[tuple[Node, int]] = []  # (node, operators on longest path)
+    ops: list[_Token] = []  # open prefix operators, brackets, binary operators
+    opened = 0  # groups and prefix operators open at this token
+    # only op tokens spell operators, so their text alone tells them apart
+    for t in tokens:
+        if t.text in _OPENERS:
+            opened = _nests(t, opened + 1)
+            ops.append(t)
+            continue
+        values.append((_leaf(t), 0))
+        for t in tokens:  # after an operand
+            if t.text == "#":
+                _reduce(t, values)
+                continue
+            bp = BINDING.get(t.text, 0)
+            while ops and _STACKED[ops[-1].text] >= bp:
+                op = ops.pop()
+                if op.text not in BINDING:
+                    opened -= 1
+                _reduce(op, values)
+            if bp:  # a binary operator waits for its right operand
+                ops.append(t)
+                break
+            if not ops:  # t closes the whole expression
+                if t.kind != "end":
+                    raise _fail(t, f"unexpected {t.text!r}")
+                return values[0][0]
+            opener = ops.pop()
+            opened -= 1
+            closer = _CLOSER[opener.text]
+            if t.text != closer:
+                raise _fail(t, f"expected {closer!r}")
+            if closer == ">":
+                k = next(tokens)
+                if k.kind != "number" or not k.text.isdigit():
+                    raise _fail(k, "grade index must be a plain integer")
+                node, depth = values.pop()
+                values.append((GradeSel(node, int(k.text), line=opener.line,
+                                        col=opener.col),
+                               _nests(opener, depth + 1)))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -266,20 +250,30 @@ def parse(src: str) -> Node:
 
 def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector:
     """Value of ``node``; fails at the first subexpression that is not finite."""
-    try:
-        value = _value(node, alg, env)
-    except RecursionError:
-        raise _error(node, "expression nests too deeply") from None
-    if not np.isfinite(value.coeffs).all():
-        raise _error(node, "value is not finite")
-    return value
+    order, todo = [], [node]
+    while todo:  # pre-order, right operand first
+        n = todo.pop()
+        order.append(n)
+        if isinstance(n, Binary):
+            todo += n.left, n.right
+        elif isinstance(n, (Unary, GradeSel)):
+            todo.append(n.operand)
+    values: list[Multivector] = []
+    for n in reversed(order):  # post-order, left operand first
+        value = _value(n, values, alg, env)
+        if not np.isfinite(value.coeffs).all():
+            raise _error(n, "value is not finite")
+        values.append(value)
+    return values[0]
 
 
 def _error(node: Node, message: str) -> EvalError:
     return EvalError(f"line {node.line}, column {node.col}: {message}")
 
 
-def _value(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector:
+def _value(node: Node, values: list[Multivector], alg: Algebra,
+           env: dict[str, Multivector]) -> Multivector:
+    """Value of ``node`` from its operands' values, popped off ``values``."""
     if isinstance(node, Num):
         return alg.scalar(node.value)
     if isinstance(node, Blade):
@@ -295,7 +289,7 @@ def _value(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector
             raise _error(node, f"{node.ident!r} is bound in a different algebra")
         return bound
     if isinstance(node, Unary):
-        x = evaluate(node.operand, alg, env)
+        x = values.pop()
         if node.op == "~":
             return x.reverse()
         if node.op == "!":
@@ -304,14 +298,13 @@ def _value(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector
             return -x
         return polarity(x)
     if isinstance(node, GradeSel):
-        x = evaluate(node.operand, alg, env)
         try:
-            return x.grade(node.k)
+            return values.pop().grade(node.k)
         except GAError as e:
             raise _error(node, str(e)) from None
     if isinstance(node, Binary):
-        a = evaluate(node.left, alg, env)
-        b = evaluate(node.right, alg, env)
+        b = values.pop()
+        a = values.pop()
         if node.op == "*":
             return a.gp(b)
         if node.op == "^":

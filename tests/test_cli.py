@@ -28,6 +28,16 @@ def write_scene(tmp_path, doc, name="scene.json"):
     return str(path)
 
 
+# scene files json.load cannot read: malformed, not UTF-8 (RFC 8259 JSON
+# is UTF-8), and nested deeper than its parser recurses
+BAD_JSON = {
+    "not-json": b"{not json",
+    "not-utf8": b"\xff\xfe{}",
+    "utf16": '{"algebra": {}}'.encode("utf-16"),
+    "deep-array": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
 class TestSceneLoading:
     def test_repo_scenes_load(self):
         for name in ("perpendicular", "euler_top", "free_top", "cga_points"):
@@ -47,11 +57,21 @@ class TestSceneLoading:
         assert euclid.flat_kind(scene.entities["L"]) == "line"
         assert euclid.flat_kind(scene.entities["F"]) == "plane"
 
-    def test_bad_json(self, tmp_path):
+    @pytest.mark.parametrize("raw", BAD_JSON.values(), ids=BAD_JSON)
+    def test_bad_json(self, tmp_path, raw):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(raw)
         with pytest.raises(SceneError, match="valid JSON"):
             load_scene(str(path))
+
+    def test_undecodable_scene_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(BAD_JSON["utf16"])
+        assert main(["eval", "--scene", str(path), "e1"]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: [^\n]*\n", captured.err)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_missing_file(self):
         with pytest.raises(SceneError, match="cannot read"):
@@ -355,7 +375,7 @@ class TestNestingLimit:
         return code, captured.out, captured.err
 
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("frames", [0, 300])
+    @pytest.mark.parametrize("frames", [0, 300, 900])
     def test_limit_holds_at_any_caller_depth(self, capsys, shape, frames):
         build = self.SHAPES[shape]
         code, out, _ = _at_depth(

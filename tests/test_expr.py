@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,33 @@ class TestRoundTrip:
     def test_minimal_parens(self):
         assert to_text(parse("((Pi | P) ^ Pi) & P")) == "Pi | P ^ Pi & P"
         assert to_text(parse("a * (b & c)")) == "a * (b & c)"
+
+
+# the grammar's tokens, joined with no separator, so neighbours may merge
+# (``e1`` then ``2`` is the blade ``e12``) as they would in typed text
+TOKENS = st.sampled_from([
+    "a", "P", "x_1", "e0", "e12", "e012", "0", "2.5", ".5", "1e400", "007",
+    "~", "!", "-", "#", "&", "^", "|", "*", "(", ")", "<", ">", "1", "2",
+    " ", "\n",
+])
+
+
+class TestRobustness:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(TOKENS, max_size=40))
+    def test_parses_or_refuses(self, tokens):
+        try:
+            node = parse("".join(tokens))
+        except ParseError:
+            return
+        assert parse(to_text(node)) == node
+
+    def test_deep_tree_evaluates_without_recursion(self, pga3):
+        node = Blade("e1")
+        for _ in range(2 * sys.getrecursionlimit()):
+            node = Unary("~", node)
+        out = evaluate(node, pga3, {})
+        assert out.coeffs.tobytes() == pga3.blade("e1").coeffs.tobytes()
 
 
 class TestEvaluation:
