@@ -29,6 +29,15 @@ zero-sign pair has no term: its ±0.0 never changed a sum that starts at
 The dense einsum kernel behind ``gp_dense`` is kept only as an
 independent check on the tables.
 
+``Algebra.pairs`` holds four such lists: ``"gp"``, ``"outer"``,
+``"left_contract"`` and ``"scalar"``, the ``gp`` pairs that land on the
+scalar (k = 0), i.e. each blade with itself where it does not square to
+zero: 32 pairs in cga(3), 8 in pga(3).  ``Multivector.scalar_product``
+runs the kernel over that list into one bin, so it adds exactly the
+terms ``gp`` adds to its scalar slot, in the same order, and
+``a.scalar_product(b)`` is bitwise ``a.gp(b).scalar_part()`` at a
+fraction of the work.
+
 An algebra names the euclidean model it is, once, from its signature:
 ``model`` and ``n`` are ``("pga", n)`` for a dual (n,0,1) signature,
 ``("cga", n)`` for a standard (n+1,1,0) one and ``(None, None)`` for any
@@ -125,6 +134,7 @@ class Algebra:
         self.pos_of = {m: i for i, m in enumerate(masks)}  # bitmask -> position
         self.grades = np.array([m.bit_count() for m in masks], dtype=np.int8)
         self.names = tuple(self._name(m) for m in masks)
+        self._pos_of_name = {name: i for i, name in enumerate(self.names)}
 
         self._cache = {}  # see cached()
         self._build_tables()
@@ -159,6 +169,9 @@ class Algebra:
             i, j = np.nonzero(sign)  # row-major: i-major
             self.pairs[kind] = (i, j, self.result[i, j].astype(np.intp),
                                 sign[i, j].astype(float))
+        # the gp pairs that land on the scalar slot, still i-major
+        on_scalar = self.pairs["gp"][2] == 0
+        self.pairs["scalar"] = tuple(p[on_scalar] for p in self.pairs["gp"])
 
         k = self.grades.astype(np.int64)
         self.reverse_sign = np.where(k * (k - 1) // 2 % 2, -1, 1).astype(np.int8)
@@ -244,8 +257,8 @@ class Algebra:
 
     def pos_of_name(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._pos_of_name[name]
+        except (KeyError, TypeError):
             raise GAError(f"no blade named {name!r} in this algebra") from None
 
     def basis_blades(self, grade: int | None = None) -> list[str]:
@@ -473,6 +486,14 @@ class Multivector:
 
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
+
+    def scalar_product(self, other: "Multivector") -> float:
+        """<self other>_0, bitwise ``self.gp(other).scalar_part()``: the
+        kernel over the ``"scalar"`` pairs, the only ``gp`` terms on bin 0."""
+        other = self._peer(other)
+        alg = self.algebra
+        return float(alg.product(alg.pairs["scalar"], self.coeffs,
+                                 other.coeffs, 1)[0])
 
     def __getitem__(self, blade_name: str) -> float:
         return float(self.coeffs[self.algebra.pos_of_name(blade_name)])

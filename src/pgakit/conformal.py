@@ -15,6 +15,17 @@ distances come back as sqrt(-2 <pq>).  Everything in this module works
 from that pairing alone: it imports only ``algebra``, and only flat_rep
 reaches into the dual-algebra machinery (``euclid``), to sample points
 off a degenerate-model flat and rebuild it as an outer product here.
+
+The null basis, ``euclidean_vector``, ``up`` and ``down`` read and write
+coefficient slots directly, from one per-algebra slot table
+(``alg.cached(_null_slots)``): the slice of the euclidean generators and
+the positions of e_n and e_(n+1).  Each slot gets exactly the value the
+composed formula above gives it (``up`` writes x_i + 0.0 on the vector
+slots and -1/2 + h, 1/2 + h with h = |x|^2 / 2 on e_n, e_(n+1)), so
+points are bitwise those of ``n_origin + x + h n_inf``; a point whose
+|x|^2 overflows is too far from the origin to embed (GeometryError).
+Pairings are ``Multivector.scalar_product``, the scalar slot of ``gp``
+without the rest of it.
 """
 
 from __future__ import annotations
@@ -29,24 +40,38 @@ NULL_TOL = 1e-12
 PAIRING_TOL = 1e-9
 
 
+def _null_slots(alg: Algebra) -> tuple[slice, int, int]:
+    """Slots of e_0..e_(n-1), e_n (squares to +1) and e_(n+1) (to -1)."""
+    n = alg.require("cga")
+    first = alg.pos_of_name("e0")  # grade-sorted: e_i sits at first + i
+    return slice(first, first + n), first + n, first + n + 1
+
+
 def n_origin(alg: Algebra) -> Multivector:
-    n = alg.require("cga")  # e_n squares to +1, e_(n+1) to -1
-    return (alg.basis_vector(n + 1) - alg.basis_vector(n)) * 0.5
+    _, plus, minus = alg.cached(_null_slots)
+    out = np.zeros(alg.size)
+    out[plus], out[minus] = -0.5, 0.5  # (e_(n+1) - e_n) / 2
+    return Multivector(alg, out)
 
 
 def n_infinity(alg: Algebra) -> Multivector:
-    n = alg.require("cga")
-    return alg.basis_vector(n) + alg.basis_vector(n + 1)
+    _, plus, minus = alg.cached(_null_slots)
+    out = np.zeros(alg.size)
+    out[plus] = out[minus] = 1.0
+    return Multivector(alg, out)
+
+
+def _coords(alg: Algebra, coords) -> np.ndarray:
+    c = np.asarray(coords, dtype=float)
+    if c.shape != (alg.n,):
+        raise GeometryError(f"expected {alg.n} coordinates, got {c.shape}")
+    return c
 
 
 def euclidean_vector(alg: Algebra, coords) -> Multivector:
-    n = alg.require("cga")
-    c = np.asarray(coords, dtype=float)
-    if c.shape != (n,):
-        raise GeometryError(f"expected {n} coordinates, got {c.shape}")
+    vec, _, _ = alg.cached(_null_slots)
     out = np.zeros(alg.size)
-    for i, ci in enumerate(c):
-        out[alg.pos_of_name(f"e{i}")] = ci
+    out[vec] = _coords(alg, coords)
     return Multivector(alg, out)
 
 
@@ -54,26 +79,38 @@ def up(alg: Algebra, *coords) -> Multivector:
     """Null point for a euclidean position, n_inf pairing normalized to -1."""
     if len(coords) == 1 and np.ndim(coords[0]) == 1:
         coords = tuple(coords[0])
-    x = euclidean_vector(alg, coords)
-    sq = sum(float(c) ** 2 for c in coords)
-    return n_origin(alg) + x + n_infinity(alg) * (0.5 * sq)
+    vec, plus, minus = alg.cached(_null_slots)
+    x = _coords(alg, coords)
+    try:
+        sq = sum(float(c) ** 2 for c in coords)
+    except OverflowError:
+        sq = math.inf
+    if sq == math.inf:
+        raise GeometryError("point too far from the origin to embed:"
+                            " |x|^2 overflows")
+    h = 0.5 * sq
+    zero = 0.0 * h  # n_inf's zero slots times h: NaN for a NaN coordinate
+    out = np.zeros(alg.size) if zero == 0.0 else np.full(alg.size, zero)
+    out[vec] = x + zero
+    out[plus], out[minus] = -0.5 + h, 0.5 + h
+    return Multivector(alg, out)
 
 
 def infinity_pairing(p: Multivector) -> float:
-    return p.gp(n_infinity(p.algebra)).scalar_part()
+    return p.scalar_product(n_infinity(p.algebra))
 
 
 def is_null(p: Multivector, tol: float = NULL_TOL) -> bool:
-    return abs(p.gp(p).scalar_part()) <= tol * max(1.0, p.norm() ** 2)
+    return abs(p.scalar_product(p)) <= tol * max(1.0, p.norm() ** 2)
 
 
 def down(p: Multivector) -> np.ndarray:
     """Euclidean coordinates of a (possibly unnormalized) null point."""
-    n = p.algebra.require("cga")
+    vec, _, _ = p.algebra.cached(_null_slots)
     w = -infinity_pairing(p)
     if abs(w) <= PAIRING_TOL * max(1.0, p.norm()):
         raise GeometryError("point at infinity has no euclidean coordinates")
-    return np.array([p[f"e{i}"] / w for i in range(n)])
+    return p.coeffs[vec] / w
 
 
 def cga_distance(p: Multivector, q: Multivector) -> float:
@@ -84,7 +121,7 @@ def cga_distance(p: Multivector, q: Multivector) -> float:
             raise GeometryError(f"{name} is not a null point")
         if abs(infinity_pairing(x) + 1.0) > PAIRING_TOL:
             raise GeometryError(f"{name} must be normalized against n_inf")
-    return math.sqrt(max(0.0, -2.0 * p.gp(q).scalar_part()))
+    return math.sqrt(max(0.0, -2.0 * p.scalar_product(q)))
 
 
 def rotor(alg: Algebra, axis, angle: float) -> Multivector:

@@ -88,7 +88,7 @@ def weight(x: Multivector) -> float:
 
 
 def euclidean_norm(x: Multivector) -> float:
-    return math.sqrt(abs(x.gp(x.reverse()).scalar_part()))
+    return math.sqrt(abs(x.scalar_product(x.reverse())))
 
 
 def ideal_norm(x: Multivector) -> float:
@@ -190,7 +190,7 @@ def angle(u: Multivector, v: Multivector) -> float:
             raise GeometryError(f"{name} is not a 1-vector")
         if abs(euclidean_norm(x) - 1.0) > NORMALIZED_TOL:
             raise GeometryError(f"{name} must have unit euclidean norm")
-    c = u.gp(v).scalar_part()
+    c = u.scalar_product(v)
     return math.acos(min(1.0, max(-1.0, c)))
 
 

@@ -49,7 +49,7 @@ def normalize_versor(g: Multivector) -> Multivector:
 
 
 def _require_unit(g: Multivector, message: str):
-    if abs(g.gp(g.reverse()).scalar_part() - 1.0) > VERSOR_TOL:
+    if abs(g.scalar_product(g.reverse()) - 1.0) > VERSOR_TOL:
         raise GeometryError(message)
 
 

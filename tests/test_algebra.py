@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,49 @@ def test_norm_is_numpy_norm_bitwise(data, alg):
         want = np.linalg.norm(coeffs)
     assert type(got) is float
     assert np.float64(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alg", [ga.pga(2), ga.pga(3), ga.cga(3)],
+                         ids=["pga2", "pga3", "cga3"])
+def test_scalar_product_is_the_gp_scalar_bitwise(alg):
+    i, j, k, _ = alg.pairs["scalar"]
+    assert np.array_equal(i, j)  # a blade lands on the scalar only with itself
+    gp = alg.pairs["gp"]
+    assert len(k) == {8: 4, 16: 8, 32: 32}[alg.size] and not k.any()
+    # the gp pairs on the scalar slot, in gp's own (i-major) order
+    on_scalar = np.flatnonzero(gp[2] == 0)
+    assert np.array_equal(i, gp[0][on_scalar]) and np.array_equal(j, gp[1][on_scalar])
+    rng = np.random.default_rng(20261018)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200])
+    for trial in range(2000):
+        a, b = (rng.normal(size=alg.size) * 10.0 ** rng.uniform(-3, 3, alg.size)
+                for _ in range(2))
+        if trial % 2:  # sparse, with signed zeros
+            a[rng.random(alg.size) < 0.6] = -0.0
+            b[rng.random(alg.size) < 0.6] = 0.0
+        if trial % 5 == 0:
+            a *= 1e200
+        if trial % 7 == 0:
+            b[rng.integers(alg.size, size=3)] = rng.choice(special, 3)
+        x, y = alg.from_coeffs(a), alg.from_coeffs(b)
+        with np.errstate(all="ignore"):  # overflow, inf * 0, inf - inf
+            got, want = x.scalar_product(y), x.gp(y).scalar_part()
+        assert type(got) is float
+        assert repr(got) == repr(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    stranger = ga.cga(3) if alg is not ga.cga(3) else ga.pga(3)
+    with pytest.raises(AlgebraMismatch):
+        x.scalar_product(stranger.scalar(1.0))
+
+
+def test_pos_of_name_is_the_name_index():
+    for alg in (ga.pga(2), ga.pga(3), ga.cga(3)):
+        for pos, name in enumerate(alg.names):
+            assert alg.pos_of_name(name) == pos
+        for bad in ("e5", "e21", "", "E1", 3, None):
+            message = f"no blade named {bad!r} in this algebra"
+            with pytest.raises(GAError, match=f"^{re.escape(message)}$"):
+                alg.pos_of_name(bad)
 
 
 def test_associativity_check_fires_on_a_corrupt_table():

@@ -73,6 +73,20 @@ class TestSceneLoading:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("coords", [[1e200, 0, 0], [1e154, 1e154, 1e154]],
+                             ids=["square-overflows", "sum-overflows"])
+    def test_point_too_far_to_embed_is_usage_error(self, tmp_path, capsys,
+                                                    coords):
+        path = write_scene(tmp_path, {
+            "algebra": {"model": "cga", "n": 3},
+            "entities": {"P": {"type": "point", "coords": coords}},
+        })
+        assert main(["eval", "--scene", path, "P"]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: entity 'P': point too far from the"
+                            r" origin to embed[^\n]*\n", captured.err)
+        assert captured.out == ""
+
     def test_missing_file(self):
         with pytest.raises(SceneError, match="cannot read"):
             load_scene("/nonexistent/scene.json")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,133 @@ class TestFlatRep:
         junk = euclid.point(pga3, 1, 0, 0) + euclid.plane(pga3, 1, 0, 0, 0)
         with pytest.raises(GeometryError):
             cf.flat_rep(junk)
+
+
+# -- the composed formulas, kept as the byte-level oracle for the slot table --
+
+def composed_n_origin(alg):
+    n = alg.n
+    return (alg.basis_vector(n + 1) - alg.basis_vector(n)) * 0.5
+
+
+def composed_n_infinity(alg):
+    return alg.basis_vector(alg.n) + alg.basis_vector(alg.n + 1)
+
+
+def composed_euclidean_vector(alg, coords):
+    c = np.asarray(coords, dtype=float)
+    out = np.zeros(alg.size)
+    for i, ci in enumerate(c):
+        out[alg.names.index(f"e{i}")] = ci
+    return alg.from_coeffs(out)
+
+
+def composed_up(alg, coords):
+    sq = sum(float(c) ** 2 for c in coords)
+    return (composed_n_origin(alg) + composed_euclidean_vector(alg, coords)
+            + composed_n_infinity(alg) * (0.5 * sq))
+
+
+def composed_infinity_pairing(p):
+    return p.gp(composed_n_infinity(p.algebra)).scalar_part()
+
+
+def composed_is_null(p, tol=cf.NULL_TOL):
+    return abs(p.gp(p).scalar_part()) <= tol * max(1.0, p.norm() ** 2)
+
+
+def composed_down(p):
+    w = -composed_infinity_pairing(p)
+    if abs(w) <= cf.PAIRING_TOL * max(1.0, p.norm()):
+        raise GeometryError("point at infinity has no euclidean coordinates")
+    return np.array([p[f"e{i}"] / w for i in range(p.algebra.n)])
+
+
+def composed_cga_distance(p, q):
+    for name, x in (("p", p), ("q", q)):
+        if not composed_is_null(x, tol=cf.PAIRING_TOL):
+            raise GeometryError(f"{name} is not a null point")
+        if abs(composed_infinity_pairing(x) + 1.0) > cf.PAIRING_TOL:
+            raise GeometryError(f"{name} must be normalized against n_inf")
+    return math.sqrt(max(0.0, -2.0 * p.gp(q).scalar_part()))
+
+
+def outcome(f, *args):
+    """Bytes of a result, or the type and text of the GeometryError."""
+    try:
+        value = f(*args)
+    except GeometryError as e:
+        return ("error", str(e))
+    value = value.coeffs if hasattr(value, "coeffs") else value
+    return np.asarray(value, dtype=float).tobytes(), type(value).__name__
+
+
+def seeded_points(rng, count):
+    """Coordinates with magnitudes 1e-3 to 1e3, signed zeros and NaNs."""
+    for t in range(count):
+        x = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-3, 3, 3)
+        if t % 5 == 0:
+            x[rng.integers(3)] = -0.0
+        if t % 13 == 0:
+            x[:] = rng.choice([0.0, -0.0], 3)
+        if t % 17 == 0:
+            x[rng.integers(3)] = np.nan
+        yield x
+
+
+class TestSlotTableMatchesComposition:
+    """The slot-table primitives give the composed formulas' bytes."""
+
+    def test_null_basis(self, cga3):
+        assert outcome(cf.n_origin, cga3) == outcome(composed_n_origin, cga3)
+        assert outcome(cf.n_infinity, cga3) == outcome(composed_n_infinity, cga3)
+
+    def test_points_and_pairings(self, cga3, rng):
+        points = list(seeded_points(rng, 600))
+        with np.errstate(all="ignore"):  # NaN coordinates
+            for x, y in zip(points, points[1:]):
+                for f, g, args in (
+                        (cf.euclidean_vector, composed_euclidean_vector, (cga3, x)),
+                        (cf.up, composed_up, (cga3, x))):
+                    assert outcome(f, *args) == outcome(g, *args)
+                p, q = cf.up(cga3, x), cf.up(cga3, y)
+                off = cga3.from_coeffs(rng.normal(size=cga3.size))
+                for a in (p, p * -3.5, p * 1.0000001, off):
+                    for f, g in ((cf.infinity_pairing, composed_infinity_pairing),
+                                 (cf.is_null, composed_is_null),
+                                 (cf.down, composed_down)):
+                        assert outcome(f, a) == outcome(g, a)
+                    assert (outcome(cf.cga_distance, a, q)
+                            == outcome(composed_cga_distance, a, q))
+
+    def test_up_accepts_every_coordinate_form(self, cga3):
+        want = outcome(composed_up, cga3, [1.5, -0.0, 2])
+        for args in ((1.5, -0.0, 2), ([1.5, -0.0, 2],),
+                     (np.array([1.5, -0.0, 2.0]),)):
+            assert outcome(cf.up, cga3, *args) == want
+
+    @pytest.mark.parametrize("coords", [(1e200, 0, 0), (1e154, 1e154, 1e154),
+                                        (0, -math.inf, 0)])
+    def test_too_far_to_embed(self, cga3, coords):
+        with pytest.raises(GeometryError, match="too far"):
+            cf.up(cga3, *coords)
+
+    def test_no_full_product(self, cga3, monkeypatch):
+        """up, down and cga_distance run no pair list longer than a
+        multivector, so never a full gp."""
+        seen = []
+        kernel = type(cga3).product
+
+        def counted(alg, pairs, a, b, bins=None):
+            seen.append(len(pairs[0]))
+            return kernel(alg, pairs, a, b, bins)
+
+        monkeypatch.setattr(type(cga3), "product", counted)
+        p, q = cf.up(cga3, 1.0, -2.0, 3.0), cf.up(cga3, 0.5, 0.0, -1.0)
+        assert seen == []
+        cf.down(p)
+        cf.cga_distance(p, q)
+        assert seen and max(seen) <= cga3.size
 
 
 class TestDimensionAudit:
