@@ -14,8 +14,10 @@ to ``[0]*r + [+1]*p + [-1]*q``, which puts the degenerate direction of a
 euclidean (n, 0, 1) algebra on ``e0``.
 
 Coefficients are stored densely, ordered by (grade, bitmask).  The text
-form ``"1.5*e12 + 2.0*e0"`` round-trips exactly because coefficients are
-printed with ``repr``.
+form ``"2.0*e0 + 1.5*e12"`` is a sentence of the expression language
+(``expr``), and ``Algebra.parse`` reads it back through that language,
+exactly, because coefficients are printed with ``repr``.  A blade name
+may list its generators in any order: ``e21`` is ``-e12``.
 
 The geometric, outer and left-contraction products, and the regressive
 join that ``duality`` derives from ``outer``, share one kernel,
@@ -48,7 +50,6 @@ which returns n or raises ``GeometryError`` naming the algebra it needs.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -200,16 +201,15 @@ class Algebra:
                 f"needs a {_MODEL_NAMES[model]} {wanted} algebra, not {self!r}")
         return self.n
 
-    def cached(self, build, *args):
-        """Per-algebra table ``build(self, *args)``, built on first use.
+    def cached(self, build):
+        """Per-algebra table ``build(self)``, built on first use.
 
         Modules that derive their own tables from this algebra keep them
-        here, keyed by the builder and its arguments.
+        here, keyed by the builder.
         """
-        key = (build, args)
-        if key not in self._cache:
-            self._cache[key] = build(self, *args)
-        return self._cache[key]
+        if build not in self._cache:
+            self._cache[build] = build(self)
+        return self._cache[build]
 
     def product(self, pairs, a: np.ndarray, b: np.ndarray,
                 bins: int | None = None) -> np.ndarray:
@@ -220,11 +220,6 @@ class Algebra:
         terms *= sign
         terms *= b[j]
         return np.bincount(k, terms, minlength=bins or self.size)
-
-    @property
-    def cayley(self) -> np.ndarray:
-        """Dense (size, size, size) kernel for the einsum product path."""
-        return self.cached(_cayley)
 
     # -- multivector factories -------------------------------------------
 
@@ -237,8 +232,14 @@ class Algebra:
         return Multivector(self, c)
 
     def blade(self, name: str, coeff: float = 1.0) -> "Multivector":
+        """``coeff`` times the blade ``name``, its generators in any order:
+        ``e21`` is ``-e12``."""
         c = np.zeros(self.size)
-        c[self.pos_of_name(name)] = coeff
+        if name in self._pos_of_name:
+            c[self._pos_of_name[name]] = coeff
+        else:
+            name, flip = self._canonical_name(name)
+            c[self.pos_of_name(name)] = coeff * flip
         return Multivector(self, c)
 
     def basis_vector(self, i: int) -> "Multivector":
@@ -268,54 +269,20 @@ class Algebra:
 
     # -- text form --------------------------------------------------------
 
-    _TERM = re.compile(
-        r"(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?:\s*\*\s*(?P<blade>e\d+))?"
-        r"|(?P<lone>e\d+))"
-    )
-
     def parse(self, text: str) -> "Multivector":
-        """Inverse of ``str(mv)``; also accepts '-' separators and bare blades."""
-        c = np.zeros(self.size)
-        pos, n = 0, len(text)
-        seen = False
-        while True:
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos >= n:
-                break
-            sign = 1.0
-            if text[pos] in "+-":
-                # separator, optionally followed by the term's own sign
-                for _ in range(2):
-                    if pos < n and text[pos] in "+-":
-                        if text[pos] == "-":
-                            sign = -sign
-                        pos += 1
-                        while pos < n and text[pos].isspace():
-                            pos += 1
-            elif seen:
-                raise GAError(f"expected '+' or '-' at column {pos} of {text!r}")
-            m = self._TERM.match(text, pos)
-            if not m:
-                raise GAError(f"cannot parse term at column {pos} of {text!r}")
-            if m.group("lone"):
-                value, name = sign, m.group("lone")
-            elif m.group("blade"):
-                value, name = sign * float(m.group("num")), m.group("blade")
-            else:
-                value, name = sign * float(m.group("num")), None
-            if name is None:
-                c[0] += value
-            else:
-                canon, flip = self._canonical_name(name)
-                c[self.pos_of_name(canon)] += value * flip
-            pos = m.end()
-            seen = True
-        if not seen:
-            raise GAError(f"empty multivector text {text!r}")
-        return Multivector(self, c)
+        """Value of ``text`` in the expression language, with no names
+        bound; the inverse of ``str(mv)`` for finite coefficients, byte
+        for byte but for the sign of a zero slot."""
+        from . import expr
+
+        value = expr.evaluate(expr.parse(text), self, {})
+        # + 0.0 clears a -0.0 slot: the text is a sum of terms onto +0.0
+        return Multivector(self, value.coeffs + 0.0)
 
     def _canonical_name(self, name: str) -> tuple[str, int]:
+        if not (isinstance(name, str) and name[:1] == "e"
+                and name[1:].isdecimal()):
+            raise GAError(f"no blade named {name!r} in this algebra")
         digits = [int(ch) for ch in name[1:]]
         if any(i >= self.gens for i in digits):
             raise GAError(f"blade {name!r} uses generators outside this algebra")
@@ -433,7 +400,8 @@ class Multivector:
         other = self._peer(other)
         alg = self.algebra
         return Multivector(
-            alg, np.einsum("i,ijk,j->k", self.coeffs, alg.cayley, other.coeffs)
+            alg, np.einsum("i,ijk,j->k", self.coeffs, alg.cached(_cayley),
+                           other.coeffs)
         )
 
     def outer(self, other: "Multivector") -> "Multivector":

@@ -4,25 +4,31 @@ Lets constructions live in config files and on the command line instead
 of in code, e.g. ``((Pi | P) ^ Pi) & P`` with Pi and P bound in an
 environment.  Grammar, loosest binding first:
 
-    expr     = join
+    expr     = sum
+    sum      = join { ("+" | "-") join }     addition, subtraction
     join     = wedge  { "&" wedge }          regressive product
     wedge    = inner  { "^" inner }          outer (meet in dual algebras)
     inner    = product { "|" product }       left contraction
     product  = unary { "*" unary }           geometric product
-    unary    = { "~" | "!" | "-" } postfix   reverse, complement map, negate
+    unary    = { "~" | "!" | "-" | "+" } postfix
+                             reverse, complement map, negate, identity
     postfix  = primary { "#" }               polarity (right factor I)
     primary  = NUMBER | BLADE | IDENT
              | "(" expr ")"
              | "<" expr ">" INT              grade selection
 
-BLADE is ``e`` plus digits (``e0``, ``e12``, ``e012``); any other word
-is an identifier looked up in the environment.  All binary operators are
-left-associative.  There is deliberately no addition and no assignment:
-anything that needs a sum is built in code and bound to a name.  An
-expression may nest at most ``MAX_DEPTH`` operators deep, with at most
-``MAX_DEPTH`` groups and prefix operators open at once; past that it is
-refused where the limit is crossed, whatever the caller's stack depth.
-Parsing and evaluation are loops over explicit stacks, not recursion.
+BLADE is ``e`` plus digits (``e0``, ``e12``, ``e012``), the generators
+in any order (``e21`` is ``-e12``); any other word is an identifier
+looked up in the environment.  All binary operators are left-associative;
+a ``-`` or ``+`` after an operand is binary, anywhere else a prefix.
+There are sums because the package reads them anyway: the printed form
+of a multivector (``2.0*e0 - 1.5*e12``) is a sentence of the language,
+and ``Algebra.parse`` reads it here, so multivector text has one reader.
+There is no assignment.  An expression may nest at most ``MAX_DEPTH``
+operators deep, with at most ``MAX_DEPTH`` groups and prefix operators
+open at once; past that it is refused where the limit is crossed,
+whatever the caller's stack depth.  Parsing and evaluation are loops
+over explicit stacks, not recursion.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +101,7 @@ class Binary(Node):
     right: Node
 
 
-BINDING = {"&": 10, "^": 20, "|": 30, "*": 40}
+BINDING = {"+": 5, "-": 5, "&": 10, "^": 20, "|": 30, "*": 40}
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -104,7 +111,7 @@ _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     rf"|(?P<word>{_WORD.pattern})"
-    r"|(?P<op>[-&^|*~!#()<>])"
+    r"|(?P<op>[-+&^|*~!#()<>])"
 )
 _BLADE = re.compile(r"e\d+\Z")
 
@@ -115,8 +122,7 @@ def is_name(text: str) -> bool:
     return _WORD.fullmatch(text) is not None and _BLADE.match(text) is None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | blade | ident | op | end
     text: str
     line: int
@@ -152,11 +158,11 @@ def _tokenize(src: str) -> list[_Token]:
 
 # -- parser ------------------------------------------------------------------
 
-_OPENERS = ("~", "!", "-", "(", "<")  # prefix operators and brackets
+_PREFIX = 50  # how tightly a prefix operator binds: tighter than any binary
+# how tightly each opener binds once stacked; a bracket looser than anything
+_OPENERS = {"~": _PREFIX, "!": _PREFIX, "-": _PREFIX, "+": _PREFIX,
+            "(": -1, "<": -1}
 _CLOSER = {"(": ")", "<": ">"}
-# how tightly a stacked operator binds: prefixes tighter than any binary
-# operator, brackets looser than anything that can follow them
-_STACKED = {**BINDING, "~": 50, "!": 50, "-": 50, "(": -1, "<": -1}
 
 
 def _fail(t: _Token, message: str) -> ParseError:
@@ -183,11 +189,11 @@ def _leaf(t: _Token) -> Node:
                 else f"unexpected {t.text!r}")
 
 
-def _reduce(t: _Token, values: list[tuple[Node, int]]) -> None:
+def _reduce(t: _Token, values: list[tuple[Node, int]], unary: bool) -> None:
     """Apply the operator ``t`` to the operands on top of ``values``, as a
     node one operator deeper than they are."""
     node, depth = values.pop()
-    if t.text in BINDING:
+    if not unary:
         left, left_depth = values.pop()
         node = Binary(t.text, left, node, line=t.line, col=t.col)
         depth = max(left_depth, depth)
@@ -201,36 +207,40 @@ def _reduce(t: _Token, values: list[tuple[Node, int]]) -> None:
 
 
 def parse(src: str) -> Node:
-    """Precedence climbing (shunting-yard) over two explicit stacks."""
+    """Precedence climbing (shunting-yard) over explicit stacks."""
     tokens = iter(_tokenize(src))
     values: list[tuple[Node, int]] = []  # (node, operators on longest path)
     ops: list[_Token] = []  # open prefix operators, brackets, binary operators
+    binds: list[int] = []  # how tightly each of ops binds; _PREFIX: a prefix
     opened = 0  # groups and prefix operators open at this token
     # only op tokens spell operators, so their text alone tells them apart
-    for t in tokens:
-        if t.text in _OPENERS:
+    for t in tokens:  # where an operand is due
+        bind = _OPENERS.get(t.text)
+        if bind is not None:
             opened = _nests(t, opened + 1)
             ops.append(t)
+            binds.append(bind)
             continue
         values.append((_leaf(t), 0))
         for t in tokens:  # after an operand
             if t.text == "#":
-                _reduce(t, values)
+                _reduce(t, values, True)
                 continue
             bp = BINDING.get(t.text, 0)
-            while ops and _STACKED[ops[-1].text] >= bp:
-                op = ops.pop()
-                if op.text not in BINDING:
-                    opened -= 1
-                _reduce(op, values)
+            while binds and binds[-1] >= bp:
+                unary = binds.pop() == _PREFIX
+                opened -= unary
+                _reduce(ops.pop(), values, unary)
             if bp:  # a binary operator waits for its right operand
                 ops.append(t)
+                binds.append(bp)
                 break
             if not ops:  # t closes the whole expression
                 if t.kind != "end":
                     raise _fail(t, f"unexpected {t.text!r}")
                 return values[0][0]
             opener = ops.pop()
+            binds.pop()
             opened -= 1
             closer = _CLOSER[opener.text]
             if t.text != closer:
@@ -271,6 +281,13 @@ def _error(node: Node, message: str) -> EvalError:
     return EvalError(f"line {node.line}, column {node.col}: {message}")
 
 
+_UNARY = {"~": Multivector.reverse, "!": j_map, "-": Multivector.__neg__,
+          "+": lambda x: x, "#": polarity}
+_BINARY = {"+": Multivector.__add__, "-": Multivector.__sub__,
+           "&": join, "^": Multivector.outer, "|": Multivector.left_contract,
+           "*": Multivector.gp}
+
+
 def _value(node: Node, values: list[Multivector], alg: Algebra,
            env: dict[str, Multivector]) -> Multivector:
     """Value of ``node`` from its operands' values, popped off ``values``."""
@@ -289,14 +306,7 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
             raise _error(node, f"{node.ident!r} is bound in a different algebra")
         return bound
     if isinstance(node, Unary):
-        x = values.pop()
-        if node.op == "~":
-            return x.reverse()
-        if node.op == "!":
-            return j_map(x)
-        if node.op == "-":
-            return -x
-        return polarity(x)
+        return _UNARY[node.op](values.pop())
     if isinstance(node, GradeSel):
         try:
             return values.pop().grade(node.k)
@@ -304,14 +314,7 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
             raise _error(node, str(e)) from None
     if isinstance(node, Binary):
         b = values.pop()
-        a = values.pop()
-        if node.op == "*":
-            return a.gp(b)
-        if node.op == "^":
-            return a.outer(b)
-        if node.op == "|":
-            return a.left_contract(b)
-        return join(a, b)
+        return _BINARY[node.op](values.pop(), b)
     raise EvalError(f"cannot evaluate {type(node).__name__}")
 
 

@@ -386,9 +386,47 @@ def test_text_round_trip_random(pga3, cga3, rng):
             assert alg.parse(str(x)) == x
 
 
+def test_text_round_trip_every_signature():
+    # str then parse gives back every byte, at the ends of the float range
+    # and with the longest printed sum (64 terms at 6 generators)
+    rng = np.random.default_rng(14)
+    for sig in _signatures(ga.MAX_GENERATORS):
+        alg = ga.build_algebra(sig)
+        sign = rng.choice([-1.0, 1.0], (3, alg.size))
+        huge = rng.uniform(1.0, 10.0, alg.size) * 10.0 ** rng.choice(
+            [-300, 300], alg.size)
+        subnormal = rng.integers(1, 2 ** 52, alg.size) * 5e-324
+        sparse = np.where(rng.random(alg.size) < 0.5, huge * sign[2], 0.0)
+        for c in (huge * sign[0], subnormal * sign[1], sparse):
+            x = alg.from_coeffs(c)
+            assert alg.parse(str(x)).coeffs.tobytes() == c.tobytes(), (sig, str(x))
+
+
+@pytest.mark.parametrize("sig", [Signature(3, 0, 1, "dual"), Signature(4, 1, 0),
+                                 Signature(2, 1, 0)])
+def test_parse_orders_generators_like_brute_force(sig):
+    alg = ga.build_algebra(sig)
+    sign, blade = multiply_blades((2, 1, 0), (), dict(enumerate(alg.metric)))
+    assert blade == (0, 1, 2)
+    want = np.zeros(alg.size)
+    want[alg.pos_of[mask_of_blade(blade)]] = sign
+    assert alg.parse("e210").coeffs.tobytes() == want.tobytes()
+    assert alg.parse("2.0*e210").coeffs.tobytes() == (2.0 * want).tobytes()
+
+
+def test_parse_reads_expressions(pga3):
+    assert pga3.parse("e1 ^ e2") == pga3.blade("e12")
+    assert pga3.parse("+1.0 - +e1") == pga3.parse("1.0 - 1.0*e1")
+    # the text is a sum of terms onto +0.0: no slot comes back -0.0
+    for text in ("-e1", "-0.0", "-(1.0 + e1)"):
+        c = pga3.parse(text).coeffs
+        assert not np.signbit(c[c == 0.0]).any(), text
+
+
 def test_parse_errors(pga3):
-    for bad in ("", "1.5*", "e99", "2.0 2.0", "1.0 + * e1", "e1 e2", "*e1", "e11"):
-        with pytest.raises(GAError):
+    for bad in ("", "1.5*", "e99", "2.0 2.0", "1.0 + * e1", "e1 e2", "*e1", "e11",
+                "1e400", "1e308 + 1e308", " + ".join(["e1"] * 102), "P"):
+        with np.errstate(over="ignore"), pytest.raises(GAError):
             pga3.parse(bad)
 
 

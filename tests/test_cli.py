@@ -73,8 +73,10 @@ class TestSceneLoading:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("coords", [[1e200, 0, 0], [1e154, 1e154, 1e154]],
-                             ids=["square-overflows", "sum-overflows"])
+    @pytest.mark.parametrize("coords", [[1e200, 0, 0], [1e154, 1e154, 1e154],
+                                        [1e8, 0, 0]],
+                             ids=["square-overflows", "sum-overflows",
+                                  "slots-round"])
     def test_point_too_far_to_embed_is_usage_error(self, tmp_path, capsys,
                                                     coords):
         path = write_scene(tmp_path, {
@@ -351,6 +353,27 @@ class TestEval:
     def test_leading_minus_is_an_expression(self, capsys, argv, result):
         assert main(["eval", *argv]) == 0
         assert capsys.readouterr().out.splitlines()[1] == result
+
+    @pytest.mark.parametrize("source, result", [
+        ("e21", "-1.0*e12"),
+        ("1 + e1", "1.0 + 1.0*e1"),
+        ("e1 - e2", "1.0*e1 - 1.0*e2"),
+        ("+e1 - -e2", "1.0*e1 + 1.0*e2"),
+    ])
+    def test_sums_and_blade_order(self, capsys, source, result):
+        assert main(["eval", source]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == result
+
+    @pytest.mark.parametrize("scene, source", [
+        ("perpendicular.json", "P & Pi"), ("perpendicular.json", "Pi"),
+        ("cga_points.json", "P"), ("cga_points.json", "P & Q"),
+    ])
+    def test_result_reads_back_as_itself(self, capsys, scene, source):
+        argv = ["eval", "--scene", str(SCENES / scene)]
+        assert main([*argv, source]) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert main([*argv, first[-1]]) == 0
+        assert capsys.readouterr().out.splitlines() == first
 
     @pytest.mark.parametrize("argv, message", [
         (["--bogus", "e1"], "unrecognized arguments: --bogus"),

@@ -188,6 +188,53 @@ class TestFlatRep:
             cf.flat_rep(junk)
 
 
+class TestFarPoints:
+    """Far from the origin a point embeds exactly or is refused; nothing
+    in between comes back with its digits gone."""
+
+    @pytest.mark.parametrize("r", [3.8e4, 1e6, 9.4e7])
+    def test_down_inverts_up(self, cga3, r):
+        x = np.array([0.6, -0.8, 0.0]) * r
+        np.testing.assert_allclose(cf.down(cf.up(cga3, x)), x, rtol=1e-9)
+        assert cf.infinity_pairing(cf.up(cga3, x)) == -1.0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_down_of_a_scaled_far_point(self, cga3, scale):
+        # scaling rounds the null slots, about 2^-53 h each (h = |x|^2 / 2)
+        x = np.array([3e4, 4e4, -1e4])
+        np.testing.assert_allclose(cf.down(cf.up(cga3, x) * scale), x,
+                                   rtol=1e-6)
+
+    def test_down_refuses_a_zero_pairing(self, cga3):
+        for p in (cf.euclidean_vector(cga3, [1e-300, 0, 0]),
+                  cf.n_infinity(cga3) * 1e300):
+            with pytest.raises(GeometryError, match="infinity"):
+                cf.down(p)
+
+    def test_down_refuses_an_overflow(self, cga3):
+        p = cf.euclidean_vector(cga3, [1e300, 0, 0]) - cf.n_origin(cga3) * 2e-300
+        with np.errstate(over="ignore"), pytest.raises(GeometryError,
+                                                       match="overflow"):
+            cf.down(p)
+
+    def test_up_refuses_where_slots_round(self, cga3):
+        with pytest.raises(GeometryError, match="too far"):
+            cf.up(cga3, 1e8, 0, 0)
+
+    @pytest.mark.parametrize("a, b", [
+        ((1e5, 3e4, -2e4), (1e5 + 0.6, 3e4 + 0.8, -2e4)),
+        ((1e6, 0, 0), (1e6 + 1, 0, 0)),
+        ((5e7, 0, 0), (5e7, 0, 0)),
+    ], ids=["one-apart", "8192", "same"])
+    def test_distance_refuses_lost_digits(self, cga3, a, b):
+        with pytest.raises(GeometryError, match="null-cone distance"):
+            cf.cga_distance(cf.up(cga3, a), cf.up(cga3, b))
+
+    def test_distance_far_apart_is_kept(self, cga3):
+        d = cf.cga_distance(cf.up(cga3, 1e4, 0, 0), cf.up(cga3, -1e4, 0, 0))
+        assert d == pytest.approx(2e4, rel=1e-9)
+
+
 # -- the composed formulas, kept as the byte-level oracle for the slot table --
 
 def composed_n_origin(alg):

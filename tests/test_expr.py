@@ -46,6 +46,31 @@ class TestParsing:
         assert parse("a | b | c") == Binary(
             "|", Binary("|", Name("a"), Name("b")), Name("c"))
 
+    def test_sum_binds_loosest(self):
+        assert parse("a + b & c") == Binary(
+            "+", Name("a"), Binary("&", Name("b"), Name("c")))
+        assert parse("-a * b - c") == Binary(
+            "-", Binary("*", Unary("-", Name("a")), Name("b")), Name("c"))
+
+    def test_sum_is_left_associative(self):
+        assert parse("a - b - c") == Binary(
+            "-", Binary("-", Name("a"), Name("b")), Name("c"))
+        assert parse("a - b + c") == Binary(
+            "+", Binary("-", Name("a"), Name("b")), Name("c"))
+
+    def test_minus_and_plus_after_an_operand_are_binary(self):
+        assert parse("a - -b") == Binary("-", Name("a"), Unary("-", Name("b")))
+        assert parse("a - +b") == Binary("-", Name("a"), Unary("+", Name("b")))
+        assert parse("+-2.5") == Unary("+", Num(-2.5))
+        assert parse("1.0 - 2.0*e1") == Binary(
+            "-", Num(1.0), Binary("*", Num(2.0), Blade("e1")))
+
+    @pytest.mark.parametrize("src", ["a - (b + c)", "a - -b", "a + -b",
+                                     "-(a - b)", "(a + b) * c", "<a - b>1"])
+    def test_sums_print_back_to_themselves(self, src):
+        assert to_text(parse(src)) == src
+        assert parse(to_text(parse(src))) == parse(src)
+
     def test_parens_override(self):
         assert parse("a * (b & c)") == Binary(
             "*", Name("a"), Binary("&", Name("b"), Name("c")))
@@ -115,13 +140,13 @@ numbers = st.floats(-1e6, 1e6, allow_nan=False).map(Num)
 
 
 def _extend(children):
-    unary = st.tuples(st.sampled_from("~!-#"), children).filter(
+    unary = st.tuples(st.sampled_from("~!-+#"), children).filter(
         # a folded literal: "-2.0" reparses as a number, not an op
         lambda t: not (t[0] == "-" and isinstance(t[1], Num))
     ).map(lambda t: Unary(*t))
     select = st.tuples(children, st.integers(0, 4)).map(
         lambda t: GradeSel(*t))
-    binary = st.tuples(st.sampled_from("&^|*"), children, children).map(
+    binary = st.tuples(st.sampled_from("+-&^|*"), children, children).map(
         lambda t: Binary(*t))
     return st.one_of(unary, select, binary)
 
@@ -141,7 +166,7 @@ class TestRoundTrip:
 # (``e1`` then ``2`` is the blade ``e12``) as they would in typed text
 TOKENS = st.sampled_from([
     "a", "P", "x_1", "e0", "e12", "e012", "0", "2.5", ".5", "1e400", "007",
-    "~", "!", "-", "#", "&", "^", "|", "*", "(", ")", "<", ">", "1", "2",
+    "~", "!", "-", "+", "#", "&", "^", "|", "*", "(", ")", "<", ">", "1", "2",
     " ", "\n",
 ])
 
@@ -181,6 +206,9 @@ class TestEvaluation:
             ("a#", duality.polarity(env["a"])),
             ("<a>2", env["a"].grade(2)),
             ("-a", -env["a"]),
+            ("+a", env["a"]),
+            ("a + b", env["a"] + env["b"]),
+            ("a - b", env["a"] - env["b"]),
         ]
         for src, want in pairs:
             got = evaluate(parse(src), pga3, env)
@@ -210,6 +238,13 @@ class TestEvaluation:
     def test_unknown_blade(self, pga3):
         with pytest.raises(EvalError, match="no blade 'e9'"):
             evaluate(parse("e9"), pga3, {})
+        with pytest.raises(EvalError, match="no blade 'e11'"):
+            evaluate(parse("e11"), pga3, {})
+
+    def test_blade_in_any_generator_order(self, pga3):
+        assert evaluate(parse("e21"), pga3, {}) == pga3.blade("e12", -1.0)
+        assert evaluate(parse("e1032"), pga3, {}) == pga3.blade("e0123")
+        assert evaluate(parse("e3120"), pga3, {}) == pga3.blade("e0123", -1.0)
 
     def test_non_finite_value_refused(self, pga3):
         with np.errstate(all="ignore"):
