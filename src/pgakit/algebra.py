@@ -14,10 +14,8 @@ to ``[0]*r + [+1]*p + [-1]*q``, which puts the degenerate direction of a
 euclidean (n, 0, 1) algebra on ``e0``.
 
 Coefficients are stored densely, ordered by (grade, bitmask).  The text
-form ``"2.0*e0 + 1.5*e12"`` is a sentence of the expression language
-(``expr``), and ``Algebra.parse`` reads it back through that language,
-exactly, because coefficients are printed with ``repr``.  A blade name
-may list its generators in any order: ``e21`` is ``-e12``.
+form ``"2.0*e0 + 1.5*e12"`` is a sentence of the ``expr`` language, which
+``Algebra.parse`` reads back exactly: coefficients print with ``repr``.
 
 The geometric, outer and left-contraction products, and the regressive
 join that ``duality`` derives from ``outer``, share one kernel,
@@ -202,11 +200,8 @@ class Algebra:
         return self.n
 
     def cached(self, build):
-        """Per-algebra table ``build(self)``, built on first use.
-
-        Modules that derive their own tables from this algebra keep them
-        here, keyed by the builder.
-        """
+        """Per-algebra table ``build(self)``, kept under the builder from
+        first use: modules derive their own tables from the algebra here."""
         if build not in self._cache:
             self._cache[build] = build(self)
         return self._cache[build]
@@ -232,14 +227,14 @@ class Algebra:
         return Multivector(self, c)
 
     def blade(self, name: str, coeff: float = 1.0) -> "Multivector":
-        """``coeff`` times the blade ``name``, its generators in any order:
-        ``e21`` is ``-e12``."""
+        """``coeff`` times blade ``name``, in any generator order: e21 = -e12."""
         c = np.zeros(self.size)
-        if name in self._pos_of_name:
-            c[self._pos_of_name[name]] = coeff
-        else:
+        try:
+            pos, flip = self._pos_of_name[name], 1
+        except (KeyError, TypeError):
             name, flip = self._canonical_name(name)
-            c[self.pos_of_name(name)] = coeff * flip
+            pos = self.pos_of_name(name)
+        c[pos] = coeff * flip
         return Multivector(self, c)
 
     def basis_vector(self, i: int) -> "Multivector":
@@ -270,18 +265,18 @@ class Algebra:
     # -- text form --------------------------------------------------------
 
     def parse(self, text: str) -> "Multivector":
-        """Value of ``text`` in the expression language, with no names
-        bound; the inverse of ``str(mv)`` for finite coefficients, byte
-        for byte but for the sign of a zero slot."""
+        """Value of ``text`` in the ``expr`` language, no names bound: the
+        inverse of a finite ``str(mv)``, byte for byte but for zeros' sign."""
         from . import expr
 
-        value = expr.evaluate(expr.parse(text), self, {})
+        with np.errstate(over="ignore", invalid="ignore"):  # evaluate refuses
+            value = expr.evaluate(expr.parse(text), self, {})
         # + 0.0 clears a -0.0 slot: the text is a sum of terms onto +0.0
         return Multivector(self, value.coeffs + 0.0)
 
     def _canonical_name(self, name: str) -> tuple[str, int]:
         if not (isinstance(name, str) and name[:1] == "e"
-                and name[1:].isdecimal()):
+                and name[1:].isascii() and name[1:].isdigit()):
             raise GAError(f"no blade named {name!r} in this algebra")
         digits = [int(ch) for ch in name[1:]]
         if any(i >= self.gens for i in digits):

@@ -23,11 +23,10 @@ the positions of e_n and e_(n+1).  Each slot gets exactly the value the
 composed formula above gives it (``up`` writes x_i + 0.0 on the vector
 slots and -1/2 + h, 1/2 + h with h = |x|^2 / 2 on e_n, e_(n+1)), so
 points are bitwise those of ``n_origin + x + h n_inf``.  From h = 2^52
-(|x| about 9.49e7) floats are 1 or more apart, the two slots round and
-the point loses its pairing with n_inf: it is too far from the origin
-to embed (GeometryError), as is one whose |x|^2 overflows.  Pairings are
-``Multivector.scalar_product``, the scalar slot of ``gp`` without the
-rest of it.
+(|x| about 9.49e7) the two slots round and lose the pairing with n_inf:
+such a point is too far from the origin to embed (GeometryError).
+Pairings are ``Multivector.scalar_product``, the scalar slot of ``gp``
+without the rest of it.
 """
 
 from __future__ import annotations
@@ -110,28 +109,24 @@ def is_null(p: Multivector, tol: float = NULL_TOL) -> bool:
 
 def down(p: Multivector) -> np.ndarray:
     """Euclidean coordinates of a (possibly unnormalized) null point; a
-    weight w = -p . n_inf within the rounding of the two null slots it is
-    read from, ROUNDING (|p_n| + |p_(n+1)|), marks a point at infinity,
-    and coordinates that overflow on division by w are refused."""
+    weight w = -p . n_inf within the rounding of the null slots it is read
+    from marks a point at infinity, and overflowing coordinates are refused."""
     vec, plus, minus = p.algebra.cached(_null_slots)
     w = -infinity_pairing(p)
     if abs(w) <= ROUNDING * (abs(p.coeffs[plus]) + abs(p.coeffs[minus])):
         raise GeometryError("point at infinity has no euclidean coordinates")
     x = p.coeffs[vec] / w
     if abs(w) < 1.0 and np.isinf(x).any():  # only a small w overflows
-        raise GeometryError("point too far from the origin:"
-                            " its coordinates overflow")
+        raise GeometryError("point too far from the origin: x overflows")
     return x
 
 
 def cga_distance(p: Multivector, q: Multivector) -> float:
     """Euclidean distance via the inner product of normalized null points.
 
-    The pairing p . q = -d^2 / 2 adds products as large as h_p h_q that
-    cancel.  Its rounding is at most len(pairs) ROUNDING sum |p_i q_i|;
-    where twice that, the bound on d^2, exceeds DISTANCE_TOL (1e-6)
-    max(1, d^2), d is refused (GeometryError), not returned unsure.
-    """
+    That pairing, -d^2 / 2, adds products as large as h_p h_q that cancel;
+    where twice its rounding bound, len(pairs) ROUNDING sum |p_i q_i|,
+    exceeds DISTANCE_TOL (1e-6) max(1, d^2), d is refused (GeometryError)."""
     p._peer(q)
     for name, x in (("p", p), ("q", q)):
         if not is_null(x, tol=PAIRING_TOL):
@@ -139,13 +134,11 @@ def cga_distance(p: Multivector, q: Multivector) -> float:
         if abs(infinity_pairing(x) + 1.0) > PAIRING_TOL:
             raise GeometryError(f"{name} must be normalized against n_inf")
     d2 = max(0.0, -2.0 * p.scalar_product(q))
-    i, j, k, sign = p.algebra.pairs["scalar"]
-    size = p.algebra.product((i, j, k, abs(sign)), abs(p.coeffs),
-                             abs(q.coeffs), 1)[0]
+    i = p.algebra.pairs["scalar"][0]  # every scalar pair is (i, i)
+    size = abs(p.coeffs[i]) @ abs(q.coeffs[i])
     if 2.0 * len(i) * ROUNDING * size > DISTANCE_TOL * max(1.0, d2):
-        raise GeometryError("points too far from the origin for the"
-                            " null-cone distance: its rounding exceeds"
-                            f" {DISTANCE_TOL:g} of d^2")
+        raise GeometryError("points too far from the origin for the null-cone"
+                            f" distance: rounding over {DISTANCE_TOL:g} d^2")
     return math.sqrt(d2)
 
 

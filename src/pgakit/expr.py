@@ -17,18 +17,18 @@ environment.  Grammar, loosest binding first:
              | "(" expr ")"
              | "<" expr ">" INT              grade selection
 
-BLADE is ``e`` plus digits (``e0``, ``e12``, ``e012``), the generators
-in any order (``e21`` is ``-e12``); any other word is an identifier
-looked up in the environment.  All binary operators are left-associative;
-a ``-`` or ``+`` after an operand is binary, anywhere else a prefix.
-There are sums because the package reads them anyway: the printed form
-of a multivector (``2.0*e0 - 1.5*e12``) is a sentence of the language,
-and ``Algebra.parse`` reads it here, so multivector text has one reader.
-There is no assignment.  An expression may nest at most ``MAX_DEPTH``
-operators deep, with at most ``MAX_DEPTH`` groups and prefix operators
-open at once; past that it is refused where the limit is crossed,
-whatever the caller's stack depth.  Parsing and evaluation are loops
-over explicit stacks, not recursion.
+BLADE is ``e`` plus digits (``e0``, ``e12``, ``e012``), its generators in
+any order (``e21`` is ``-e12``); any other word is an identifier looked up
+in the environment.  All binary operators are left-associative; ``-`` or
+``+`` after an operand is binary, elsewhere a prefix.  There are sums
+because the package reads them anyway: the printed form of a multivector
+(``2.0*e0 - 1.5*e12``) is one, and ``Algebra.parse`` reads it with this
+parser, so multivector text has one reader.  There is no assignment.
+An expression may nest at most ``MAX_DEPTH`` operators deep, with at
+most ``MAX_DEPTH`` groups and prefix operators open at once; past that
+it is refused where the limit is crossed, whatever the caller's stack
+depth.  Parsing and evaluation are loops over explicit stacks, not
+recursion.
 """
 
 from __future__ import annotations
@@ -281,13 +281,6 @@ def _error(node: Node, message: str) -> EvalError:
     return EvalError(f"line {node.line}, column {node.col}: {message}")
 
 
-_UNARY = {"~": Multivector.reverse, "!": j_map, "-": Multivector.__neg__,
-          "+": lambda x: x, "#": polarity}
-_BINARY = {"+": Multivector.__add__, "-": Multivector.__sub__,
-           "&": join, "^": Multivector.outer, "|": Multivector.left_contract,
-           "*": Multivector.gp}
-
-
 def _value(node: Node, values: list[Multivector], alg: Algebra,
            env: dict[str, Multivector]) -> Multivector:
     """Value of ``node`` from its operands' values, popped off ``values``."""
@@ -306,7 +299,16 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
             raise _error(node, f"{node.ident!r} is bound in a different algebra")
         return bound
     if isinstance(node, Unary):
-        return _UNARY[node.op](values.pop())
+        x = values.pop()
+        if node.op == "~":
+            return x.reverse()
+        if node.op == "!":
+            return j_map(x)
+        if node.op == "-":
+            return -x
+        if node.op == "+":
+            return x
+        return polarity(x)
     if isinstance(node, GradeSel):
         try:
             return values.pop().grade(node.k)
@@ -314,7 +316,18 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
             raise _error(node, str(e)) from None
     if isinstance(node, Binary):
         b = values.pop()
-        return _BINARY[node.op](values.pop(), b)
+        a = values.pop()
+        if node.op == "*":
+            return a.gp(b)
+        if node.op == "^":
+            return a.outer(b)
+        if node.op == "|":
+            return a.left_contract(b)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        return join(a, b)
     raise EvalError(f"cannot evaluate {type(node).__name__}")
 
 

@@ -423,10 +423,18 @@ def test_parse_reads_expressions(pga3):
         assert not np.signbit(c[c == 0.0]).any(), text
 
 
+def test_blade_errors(pga3):
+    # generators in any order, but only ASCII digits and hashable names
+    for bad in (["e1"], None, "e\u0661", "e\u00b9", "e11", "e5", "E1"):
+        with pytest.raises(GAError):
+            pga3.blade(bad)
+
+
 def test_parse_errors(pga3):
     for bad in ("", "1.5*", "e99", "2.0 2.0", "1.0 + * e1", "e1 e2", "*e1", "e11",
-                "1e400", "1e308 + 1e308", " + ".join(["e1"] * 102), "P"):
-        with np.errstate(over="ignore"), pytest.raises(GAError):
+                "1e400", "1e308 + 1e308", " + ".join(["e1"] * 102), "P",
+                "e\u0661"):
+        with pytest.raises(GAError):
             pga3.parse(bad)
 
 

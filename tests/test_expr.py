@@ -240,6 +240,8 @@ class TestEvaluation:
             evaluate(parse("e9"), pga3, {})
         with pytest.raises(EvalError, match="no blade 'e11'"):
             evaluate(parse("e11"), pga3, {})
+        with pytest.raises(EvalError, match="no blade 'e\u0661'"):
+            evaluate(parse("e\u0661"), pga3, {})  # generators are ASCII
 
     def test_blade_in_any_generator_order(self, pga3):
         assert evaluate(parse("e21"), pga3, {}) == pga3.blade("e12", -1.0)
