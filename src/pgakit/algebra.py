@@ -269,8 +269,7 @@ class Algebra:
         inverse of a finite ``str(mv)``, byte for byte but for zeros' sign."""
         from . import expr
 
-        with np.errstate(over="ignore", invalid="ignore"):  # evaluate refuses
-            value = expr.evaluate(expr.parse(text), self, {})
+        value = expr.evaluate(expr.parse(text), self, {})
         # + 0.0 clears a -0.0 slot: the text is a sum of terms onto +0.0
         return Multivector(self, value.coeffs + 0.0)
 

@@ -115,7 +115,8 @@ def down(p: Multivector) -> np.ndarray:
     w = -infinity_pairing(p)
     if abs(w) <= ROUNDING * (abs(p.coeffs[plus]) + abs(p.coeffs[minus])):
         raise GeometryError("point at infinity has no euclidean coordinates")
-    x = p.coeffs[vec] / w
+    with np.errstate(over="ignore"):  # refused just below
+        x = p.coeffs[vec] / w
     if abs(w) < 1.0 and np.isinf(x).any():  # only a small w overflows
         raise GeometryError("point too far from the origin: x overflows")
     return x

@@ -269,11 +269,12 @@ def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivect
         elif isinstance(n, (Unary, GradeSel)):
             todo.append(n.operand)
     values: list[Multivector] = []
-    for n in reversed(order):  # post-order, left operand first
-        value = _value(n, values, alg, env)
-        if not np.isfinite(value.coeffs).all():
-            raise _error(n, "value is not finite")
-        values.append(value)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for n in reversed(order):  # post-order, left operand first
+            value = _value(n, values, alg, env)
+            if not np.isfinite(value.coeffs).all():
+                raise _error(n, "value is not finite")
+            values.append(value)
     return values[0]
 
 

@@ -1,9 +1,15 @@
 """Versors: reflections, motors, the bivector exponential, and its inverse.
 
 A motor is an even versor of the degenerate dual algebra.  Every motor
-is exp of a bivector, and every bivector splits into commuting euclidean
-and ideal parts along the same axis; exp and log here work through that
-split in closed form, no series.
+is exp of a bivector, and one split, ``_split``, takes every bivector
+b = alpha*u + beta*u*I (u a unit euclidean line) to its commuting
+euclidean part alpha*u and ideal part beta*u*I = polarity(b) beta/alpha.
+exp writes its value straight from those parts, no series:
+
+    exp(b) = cos(alpha) + (sin(alpha)/alpha) alpha*u
+             + cos(alpha) beta*u*I - beta sin(alpha) I,
+
+and log reads the same four terms back off a motor.
 
 The biquaternion half of this module is deliberately independent: it
 multiplies pairs of quaternions with the hand-written Hamilton product
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, GAError, GeometryError, Multivector
-from .duality import join
+from .duality import join, polarity
 from .euclid import euclidean_norm, normalize, point
 
 VERSOR_TOL = 1e-9
@@ -75,42 +81,43 @@ def sandwich(g: Multivector, x: Multivector) -> Multivector:
     return g.gp(operand).gp(g.reverse())
 
 
-def _screw_scales(b: Multivector) -> tuple[float, float]:
-    """alpha, beta of b = alpha*u + beta*u*I: b*b = -alpha^2 - 2*alpha*beta*I."""
+def _split(b: Multivector, message: str):
+    """alpha, beta and the commuting parts (alpha*u, beta*u*I) of the
+    bivector b = alpha*u + beta*u*I, u a unit euclidean line, read from
+    b*b = -alpha^2 - 2*alpha*beta*I and b*I = alpha*u*I.  An alpha below
+    SMALL_ANGLE takes b as purely ideal: parts (0, b)."""
+    alg = b.algebra
+    alg.require("pga")
+    if not b.is_zero() and b.grades_present() != (2,):
+        raise GeometryError(message)
     sq = b.gp(b)
     s = sq.scalar_part()
     if s > 1e-12 * max(1.0, b.norm() ** 2):
         raise GAError("bivector square has positive scalar part")
     alpha = math.sqrt(max(0.0, -s))
     if alpha < SMALL_ANGLE:
-        return alpha, 0.0  # b is taken as purely ideal
-    return alpha, -float(sq.coeffs[-1]) / (2.0 * alpha)  # I is the last slot
-
-
-def _screw_axes(b: Multivector, alpha: float, beta: float):
-    """The axis pair (u, u*I) of b = alpha*u + beta*u*I; alpha nonzero."""
-    axis_ideal = b.gp(b.algebra.pseudoscalar()) / alpha
-    return (b - axis_ideal * beta) / alpha, axis_ideal
+        return alpha, 0.0, alg.zero(), b
+    beta = -float(sq.coeffs[-1]) / (2.0 * alpha)  # I is the last slot
+    ideal = polarity(b) * (beta / alpha)
+    return alpha, beta, b - ideal, ideal
 
 
 def exp_bivector(b: Multivector) -> Multivector:
     """Closed-form exponential of a bivector in the dual algebra.
 
     Splits b = alpha*u + beta*u*I with u a unit euclidean axis, then
-    exp(b) = (cos(alpha) + sin(alpha) u)(1 + beta u I).  A purely ideal
-    argument short-circuits to the exact translator 1 + b.
+    exp(b) = (cos(alpha) + sin(alpha) u)(1 + beta u I), expanded as in
+    the module docstring.  A purely ideal argument short-circuits to the
+    exact translator 1 + b.
     """
-    alg = b.algebra
-    alg.require("pga")
-    if not b.is_zero() and b.grades_present() != (2,):
-        raise GeometryError("exp is defined here for bivectors only")
-    alpha, beta = _screw_scales(b)
+    alpha, beta, euclidean, ideal = _split(
+        b, "exp is defined here for bivectors only")
     if alpha < SMALL_ANGLE:
-        return alg.scalar(1.0) + b
-    axis, axis_ideal = _screw_axes(b, alpha, beta)
-    rotation = alg.scalar(math.cos(alpha)) + axis * math.sin(alpha)
-    translation = alg.scalar(1.0) + axis_ideal * beta
-    return rotation.gp(translation)
+        return b.algebra.scalar(1.0) + b
+    cos, sin = math.cos(alpha), math.sin(alpha)
+    out = euclidean.coeffs * (sin / alpha) + ideal.coeffs * cos
+    out[0], out[-1] = cos, -beta * sin  # both parts vanish on 1 and I
+    return Multivector(b.algebra, out)
 
 
 def log_versor(g: Multivector) -> Multivector:
@@ -137,21 +144,14 @@ def log_versor(g: Multivector) -> Multivector:
     alpha = math.atan2(sin_alpha, w)
     # g = w + sin(alpha) u + beta w u I - beta sin(alpha) I
     beta = -pseudo / sin_alpha
-    axis, axis_ideal = _screw_axes(b2, sin_alpha, beta * w)
+    axis_ideal = polarity(b2) / sin_alpha
+    axis = (b2 - axis_ideal * (beta * w)) / sin_alpha
     return axis * alpha + axis_ideal * beta
 
 
 def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
     """Commuting (euclidean, ideal) parts of a bivector, summing to b."""
-    alg = b.algebra
-    alg.require("pga")
-    if not b.is_zero() and b.grades_present() != (2,):
-        raise GeometryError("screw split is defined for bivectors only")
-    alpha, beta = _screw_scales(b)
-    if alpha < SMALL_ANGLE:
-        return alg.zero(), b
-    ideal_part = _screw_axes(b, alpha, beta)[1] * beta
-    return b - ideal_part, ideal_part
+    return _split(b, "screw split is defined for bivectors only")[2:]
 
 
 def axis_line(alg: Algebra, center, axis) -> Multivector:
@@ -171,7 +171,7 @@ def screw_generator(line: Multivector, angle: float, displacement: float) -> Mul
     half = 0.5 * float(angle)
     gen = line * half
     if displacement:
-        gen = gen - line.gp(line.algebra.pseudoscalar()) * (0.5 * float(displacement))
+        gen = gen - polarity(line) * (0.5 * float(displacement))
     return gen
 
 
@@ -266,11 +266,6 @@ class Biquaternion:
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
-
-    def conjugate(self) -> "Biquaternion":
-        def conj(q):
-            return (q[0], -q[1], -q[2], -q[3])
-        return Biquaternion(conj(self.real), conj(self.dual))
 
     def close_to(self, other, tol: float = 1e-12) -> bool:
         return all(

@@ -249,12 +249,15 @@ class TestEvaluation:
         assert evaluate(parse("e3120"), pga3, {}) == pga3.blade("e0123", -1.0)
 
     def test_non_finite_value_refused(self, pga3):
-        with np.errstate(all="ignore"):
-            with pytest.raises(EvalError, match="column 12: value is not finite"):
-                evaluate(parse("e1 * 1e300 * 1e300 ^ e2"), pga3, {})
-            with pytest.raises(EvalError, match="column 1: value is not finite"):
-                evaluate(parse("big * e1"), pga3,
-                         {"big": pga3.scalar(float("inf"))})
+        # no errstate here: evaluate itself keeps numpy's overflow and
+        # invalid-value warnings from preempting the EvalError
+        with pytest.raises(EvalError, match="column 12: value is not finite"):
+            evaluate(parse("e1 * 1e300 * 1e300 ^ e2"), pga3, {})
+        with pytest.raises(EvalError, match="column 7: value is not finite"):
+            evaluate(parse("1e308 + 1e308"), pga3, {})
+        with pytest.raises(EvalError, match="column 1: value is not finite"):
+            evaluate(parse("big * e1"), pga3,
+                     {"big": pga3.scalar(float("inf"))})
 
     def test_algebra_mismatch(self, pga3, cga3):
         env = {"q": cga3.scalar(2.0)}

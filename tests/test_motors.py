@@ -216,8 +216,36 @@ class TestExpLog:
             log_versor(pga3.scalar(3.0))
 
     def test_exp_rejects_non_bivector(self, pga3):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError) as err:
             exp_bivector(pga3.blade("e1"))
+        assert str(err.value) == "exp is defined here for bivectors only"
+
+    def test_split_rejects_non_bivector(self, pga3):
+        with pytest.raises(GeometryError) as err:
+            screw_split(pga3.blade("e1") + pga3.blade("e12"))
+        assert str(err.value) == "screw split is defined for bivectors only"
+
+    @pytest.mark.parametrize("kind", ["screw", "rotation", "point"])
+    def test_exp_matches_power_series(self, kind, pga2, pga3, rng):
+        # coefficient by coefficient, so -exp(b), which moves points the
+        # same way, fails; log, ill-conditioned as sin(alpha) -> 0, must
+        # take the series value back to b
+        for _ in range(40):
+            if kind == "point":
+                half = rng.uniform(0.01, math.pi - 0.01) * rng.choice([-1, 1])
+                b = normalize(point(pga2, *rng.uniform(-2, 2, 2))) * half
+            else:
+                line = axis_line(pga3, rng.uniform(-2, 2, 3), rng.normal(size=3))
+                disp = 0.0 if kind == "rotation" else rng.uniform(-6.0, 6.0)
+                b = screw_generator(line, rng.uniform(0.02, 2 * math.pi - 0.02),
+                                    disp)  # alpha in (0, pi), |beta| <= 3
+            series = power_series_exp(b)
+            scale = 1.0 + b.norm()
+            err = np.abs(exp_bivector(b).coeffs - series.coeffs).max()
+            assert err <= 16 * EPS * scale, (b, err)
+            sin_alpha = math.sin(math.sqrt(-b.gp(b).scalar_part()))
+            err = np.abs(log_versor(series).coeffs - b.coeffs).max()
+            assert err <= 1e-12 * scale ** 2 / sin_alpha, (b, err)
 
 
 class TestIsometryInvariants:
@@ -291,6 +319,15 @@ class TestBiquaternions:
     def test_text_form(self):
         bq = Biquaternion.from_parts([1.0, -2.0, 0.0, 0.5], [0.0, 3.0, -1.5, 0.0])
         assert str(bq) == "(1.0 - 2.0i + 0.0j + 0.5k) + ε(0.0 + 3.0i - 1.5j + 0.0k)"
+
+
+def power_series_exp(b, terms=40):
+    """sum_{k < terms} b^k / k!, from gp alone."""
+    term = total = b.algebra.scalar(1.0)
+    for k in range(1, terms):
+        term = term.gp(b) / k
+        total = total + term
+    return total
 
 
 def random_screw_generator(alg, rng):
