@@ -209,12 +209,24 @@ class Algebra:
     def product(self, pairs, a: np.ndarray, b: np.ndarray,
                 bins: int | None = None) -> np.ndarray:
         """The one product kernel: each pair's term (a[i] * sign) * b[j],
-        the order of a loop over blades, added onto bin k in pair order."""
+        the order of a loop over blades, added onto bin k in pair order.
+
+        Operands stacked as (rows, size) give (rows, bins): row r's terms
+        land on bins k + bins * r of the same bincount, still in pair
+        order, so each row is bitwise its own 1-D product."""
         i, j, k, sign = pairs
-        terms = a[i]  # a fresh array, scaled in place
+        if a.ndim == 1:
+            terms = a[i]  # a fresh array, scaled in place
+            terms *= sign
+            terms *= b[j]
+            return np.bincount(k, terms, minlength=bins or self.size)
+        rows, bins = len(a), bins or self.size
+        terms = a[:, i]
         terms *= sign
-        terms *= b[j]
-        return np.bincount(k, terms, minlength=bins or self.size)
+        terms *= b[:, j]
+        at = (k + bins * np.arange(rows)[:, None]).ravel()
+        return np.bincount(at, terms.ravel(),
+                           minlength=rows * bins).reshape(rows, bins)
 
     # -- multivector factories -------------------------------------------
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import conformal, dynamics, euclid, motors
 from . import expr as dsl
-from .algebra import Algebra, GAError, Multivector, cga, pga
+from .algebra import Algebra, GAError, GeometryError, Multivector, cga, pga
 from .duality import j_map, join, meet, polarity
 
 DEFAULT_EXPRESSION = "((Pi | P) ^ Pi) & P"
@@ -183,11 +183,14 @@ def _dynamics_setup(scene: Scene, args):
         _field(inertia_block, "mass", float, 1.0))
 
     pose_block = _field(block, "pose", dict, {})
-    pose = motors.motor_from_screw(
-        scene.algebra, _field(pose_block, "center", 3, [0, 0, 0]),
-        _field(pose_block, "axis", 3, [0, 0, 1]),
-        _field(pose_block, "angle", float, 0.0),
-        _field(pose_block, "displacement", float, 0.0))
+    try:
+        pose = motors.motor_from_screw(
+            scene.algebra, _field(pose_block, "center", 3, [0, 0, 0]),
+            _field(pose_block, "axis", 3, [0, 0, 1]),
+            _field(pose_block, "angle", float, 0.0),
+            _field(pose_block, "displacement", float, 0.0))
+    except GeometryError as e:  # a screw too large, or a zero axis
+        raise SceneError(f"'pose': {e}") from None
 
     momentum_block = _field(block, "momentum", dict, {})
     momentum = dynamics.bivector_from_vectors(

@@ -18,13 +18,24 @@ alone; no orientation signs are hard-coded here.
 
 The integrator works on one array of [pose, momentum] coefficients,
 which a ``BodyState`` packs once (refusing an odd-grade part) and each
-step's state carries.  The products run on the algebra's one kernel with
-its ``gp`` pairs restricted to the slots they can touch: even × bivector
-for the rates, fused into one call, and even × even for the space
-momentum.
+step's state carries; ``rk4_step`` builds its four stages in one reused
+[stage, velocity] buffer.  The products run on the algebra's one kernel
+with its ``gp`` pairs restricted to the slots they can touch: even ×
+bivector for the rates, fused into one call, and even × even for the
+space momentum.
 Only ±0.0 terms are dropped, so states, CSV rows and the step at which a
 run diverges are bitwise those of whole-multivector products, down to
 the residue the pose and momentum keep in their scalar and pseudoscalar.
+
+``write_trajectory`` steps with ``rk4_step`` and keeps the states of
+BLOCK_ROWS steps in one array.  Per block it checks every state for
+finiteness once, computes the energies and the space momenta of all
+rows (the kernel on stacked operands, each row bitwise its own
+product), formats the block with one ``%`` and writes it with one
+call.  ``csv_row``, ``energy`` and ``spatial_momentum`` are the one-row
+cases of the same code, so the written bytes are those of ``csv_row``
+for each state ``integrate`` would show its observer, and a run that
+diverges writes the same rows and raises the same error.
 """
 
 from __future__ import annotations
@@ -36,9 +47,10 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .algebra import Algebra, GeometryError, Multivector, cga, pga, restrict
-from .euclid import euclidean_norm, significant_grades
+from .euclid import euclidean_norm_of, significant_grades
 from .motors import axis_line
 
+BLOCK_ROWS = 256  # states per finite check, format and write of a trajectory
 CSV_HEADER = (
     "t,g0,g1,g2,g3,g4,g5,g6,g7,"
     "m0,m1,m2,m3,m4,m5,energy,ms0,ms1,ms2,ms3,ms4,ms5"
@@ -163,41 +175,77 @@ def _tables(alg: Algebra):
 def energy(state: BodyState, inertia: InertiaOperator) -> float:
     alg = state.momentum.algebra
     alg.require("pga", 3)
-    m = state.momentum.coeffs[alg.grade_slice[2]]
-    return 0.5 * float((m / inertia._diag) @ m)
+    m = state.momentum.coeffs[None, alg.grade_slice[2]]
+    return float(_energies(m, inertia)[0])
 
 
 def spatial_momentum(state: BodyState) -> Multivector:
     """Momentum seen from the space frame; constant along exact motion."""
-    alg, y = state.pose.algebra, state._coeffs
-    pairs, g = alg.cached(_tables)[2], y[:alg.size]
-    return Multivector(alg, alg.product(
-        pairs, alg.product(pairs, g, y[alg.size:]), g * alg.reverse_sign))
+    alg = state.pose.algebra
+    return Multivector(alg, _spatial_momenta(alg, state._coeffs[None])[0])
+
+
+def _energies(m: np.ndarray, inertia: InertiaOperator) -> np.ndarray:
+    """Kinetic energy of each row of momentum bivector coefficients.  The
+    stacked matmul runs the 1-D dot on every row, so a row's energy is
+    bitwise ``0.5 * ((m / diag) @ m)``; a row sum would add in another
+    order."""
+    v = m / inertia._diag
+    return 0.5 * np.matmul(v[:, None, :], m[:, :, None])[:, 0, 0]
+
+
+def _spatial_momenta(alg: Algebra, ys: np.ndarray) -> np.ndarray:
+    """g m ~g of every [pose, momentum] row, in two stacked kernel calls."""
+    pairs, g = alg.cached(_tables)[2], ys[:, :alg.size]
+    return alg.product(pairs, alg.product(pairs, g, ys[:, alg.size:]),
+                       g * alg.reverse_sign)
 
 
 def rk4_step(state: BodyState, inertia: InertiaOperator, h: float,
              renormalize: bool = True) -> BodyState:
     alg, y = state.pose.algebra, state._coeffs
     (rates, vel, _), n = alg.cached(_tables), alg.size
+    x = np.empty(2 * n + len(inertia._diag))  # [stage, its velocity]
+    stage, v = x[:2 * n], x[2 * n:]
 
-    def f(y):
-        # [pose', momentum'] = [g v, m v - v m] / 2
-        x = np.concatenate((y, y[vel] / inertia._diag))
+    def f():
+        # [pose', momentum'] = [g v, m v - v m] / 2 at the stage in x
+        np.divide(stage[vel], inertia._diag, out=v)
         out = alg.product(rates, x, x, 4 * n)
-        return (out[:2 * n] - out[2 * n:]) * 0.5
+        k = out[:2 * n]
+        k -= out[2 * n:]
+        k *= 0.5
+        return k
 
-    k1 = f(y)
-    k2 = f(y + k1 * (h / 2))
-    k3 = f(y + k2 * (h / 2))
-    k4 = f(y + k3 * h)
-    y1 = y + (k1 + k2 * 2 + k3 * 2 + k4) * (h / 6)
+    stage[:] = y
+    k1 = f()
+    np.add(y, np.multiply(k1, h / 2, out=stage), out=stage)
+    k2 = f()
+    np.add(y, np.multiply(k2, h / 2, out=stage), out=stage)
+    k3 = f()
+    np.add(y, np.multiply(k3, h, out=stage), out=stage)
+    k4 = f()
+    # y + (k1 + k2 * 2 + k3 * 2 + k4) * (h / 6), summed in that order
+    k2 *= 2
+    k3 *= 2
+    k1 += k2
+    k1 += k3
+    k1 += k4
+    k1 *= h / 6
+    y1 = y + k1
     if renormalize:
         # no null-versor check: a zero norm gives non-finite
         # coefficients, which integrate reports as divergence
-        y1[:n] /= euclidean_norm(Multivector(alg, y1[:n]))
+        y1[:n] /= euclidean_norm_of(alg, y1[:n])
     out = BodyState(Multivector(alg, y1[:n]), Multivector(alg, y1[n:]))
     object.__setattr__(out, "_coeffs", y1)  # even by construction
     return out
+
+
+def _check_run(state: BodyState, h: float, steps: int) -> None:
+    state.pose.algebra.require("pga", 3)
+    if not 0.0 < h < np.inf or steps < 0:
+        raise GeometryError("need a positive finite step size and steps >= 0")
 
 
 def integrate(state: BodyState, inertia: InertiaOperator, h: float,
@@ -206,9 +254,7 @@ def integrate(state: BodyState, inertia: InertiaOperator, h: float,
               ) -> BodyState:
     """Fixed-step fourth-order run; the observer sees every state
     including the initial one."""
-    state.pose.algebra.require("pga", 3)
-    if not 0.0 < h < np.inf or steps < 0:
-        raise GeometryError("need a positive finite step size and steps >= 0")
+    _check_run(state, h, steps)
     # overflow on the way to the finite check is reported as divergence,
     # not as a stream of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,28 +273,75 @@ def _even_positions(alg: Algebra) -> np.ndarray:
     return np.flatnonzero(alg.grades % 2 == 0)
 
 
+_ROW = ",".join(["%.17g"] * 22) + "\n"
+
+
+def _csv_rows(alg: Algebra, t: np.ndarray, ys: np.ndarray,
+              inertia: InertiaOperator) -> str:
+    """The CSV lines, newline-terminated, of the [pose, momentum] rows ys
+    at times t, in one ``%`` format."""
+    n, sl = alg.size, alg.grade_slice[2]
+    m = ys[:, n + sl.start:n + sl.stop]
+    fields = np.column_stack((
+        t, ys[:, alg.cached(_even_positions)], m, _energies(m, inertia),
+        _spatial_momenta(alg, ys)[:, sl]))
+    return (_ROW * len(ys)) % tuple(fields.ravel().tolist())
+
+
 def csv_row(t: float, state: BodyState, inertia: InertiaOperator) -> str:
     alg = state.pose.algebra
-    sl = alg.grade_slice[2]
-    return ",".join(["%.17g"] * 22) % (
-        t, *state.pose.coeffs[alg.cached(_even_positions)].tolist(),
-        *state.momentum.coeffs[sl].tolist(), energy(state, inertia),
-        *spatial_momentum(state).coeffs[sl].tolist())
+    return _csv_rows(alg, np.array([t], float), state._coeffs[None],
+                     inertia)[:-1]
 
 
 def write_trajectory(out: TextIO, state: BodyState, inertia: InertiaOperator,
                      h: float, steps: int, renormalize: bool = True) -> BodyState:
+    """The CSV header, then ``csv_row`` of every state ``integrate`` would
+    show its observer, stepped with ``rk4_step`` and written BLOCK_ROWS
+    states at a time; a run that diverges writes the rows before the
+    state or row it fails on and raises as ``integrate`` would, with
+    ``: the row is not finite`` when a finite state has a non-finite
+    row."""
     out.write(CSV_HEADER + "\n")
+    _check_run(state, h, steps)
+    alg = state.pose.algebra
+    block = np.empty((BLOCK_ROWS, 2 * alg.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block[0] = state._coeffs
+        first, rows = 0, 1  # the step in block[0], the rows filled
+        for i in range(1, steps + 1):
+            if rows == BLOCK_ROWS:
+                _write_block(out, alg, first, block, inertia, h)
+                first, rows = i, 0
+            state = rk4_step(state, inertia, h, renormalize)
+            block[rows] = state._coeffs
+            rows += 1
+        _write_block(out, alg, first, block[:rows], inertia, h)
+    return state
 
-    def row(i, t, s):
-        line = csv_row(t, s, inertia)
-        # %.17g spells a non-finite value inf or nan, a finite one never
-        if "inf" in line or "nan" in line:
-            raise GeometryError(f"integration diverged at step {i}:"
-                                " the row is not finite")
-        out.write(line + "\n")
 
-    return integrate(state, inertia, h, steps, renormalize, observer=row)
+def _write_block(out: TextIO, alg: Algebra, first: int, ys: np.ndarray,
+                 inertia: InertiaOperator, h: float) -> None:
+    """Write the rows of the states of steps first, first + 1, ... up to
+    the first state that is not finite, and raise there.  The initial
+    state is checked only through its row, as in ``integrate``; states
+    after a failing one are dropped."""
+    finite = np.isfinite(ys).all(axis=1)
+    finite[0] |= first == 0
+    stop = len(ys) if finite.all() else int(finite.argmin())
+    text = _csv_rows(alg, np.arange(first, first + stop) * h, ys[:stop],
+                     inertia) if stop else ""
+    # %.17g spells a non-finite value inf or nan, a finite one never
+    if "inf" in text or "nan" in text:
+        lines = text.splitlines(keepends=True)
+        j = next(j for j, line in enumerate(lines)
+                 if "inf" in line or "nan" in line)
+        out.write("".join(lines[:j]))
+        raise GeometryError(f"integration diverged at step {first + j}:"
+                            " the row is not finite")
+    out.write(text)
+    if stop < len(ys):
+        raise GeometryError(f"integration diverged at step {first + stop}")
 
 
 def solution_space_dims(model: str) -> tuple[int, int, int]:

@@ -98,6 +98,8 @@ def _split(b: Multivector, message: str):
     if alpha < SMALL_ANGLE:
         return alpha, 0.0, alg.zero(), b
     beta = -float(sq.coeffs[-1]) / (2.0 * alpha)  # I is the last slot
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise GeometryError("bivector too large: its square is not finite")
     ideal = polarity(b) * (beta / alpha)
     return alpha, beta, b - ideal, ideal
 

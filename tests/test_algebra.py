@@ -188,6 +188,31 @@ def test_restrict_is_the_product_on_its_slots(pga2, pga3, cga3, rng):
                 assert got.tobytes() == want.tobytes(), (alg, kind)
 
 
+def test_stacked_rows_are_their_own_products(pga2, pga3, cga3, rng):
+    # operands stacked as rows give each row's 1-D product bit for bit,
+    # sign of zero included, also into a bin count larger than the size
+    # and through restricted pairs, as dynamics uses for trajectory rows
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200])
+    for alg in (pga2, pga3, cga3):
+        for kind in PRODUCTS:
+            for rows, bins in ((1, None), (7, None), (5, alg.size + 3)):
+                a, b = (rng.normal(size=(rows, alg.size))
+                        * rng.integers(0, 2, (rows, alg.size))
+                        * rng.choice([1.0, -1.0], (rows, alg.size))
+                        for _ in range(2))
+                a[rng.random(a.shape) < 0.1] = rng.choice(special)
+                keep = np.flatnonzero(rng.random(alg.size) < 0.7)
+                for pairs in (alg.pairs[kind],
+                              ga.restrict(alg.pairs[kind], keep, keep)):
+                    with np.errstate(all="ignore"):  # inf * 0, inf - inf
+                        got = alg.product(pairs, a, b, bins)
+                        want = [alg.product(pairs, x, y, bins)
+                                for x, y in zip(a, b)]
+                    assert got.shape == (rows, bins or alg.size)
+                    assert got.tobytes() == np.array(want).tobytes(), \
+                        (alg, kind)
+
+
 _QUIET = [math.nan, 0.0, -0.0]  # no tolerance counts these as present
 
 

@@ -541,6 +541,20 @@ class TestSimulate:
         assert captured.out == dynamics.CSV_HEADER + "\n"
         assert "not finite" in captured.err
 
+    @pytest.mark.parametrize("pose", [
+        # the half-angle bivector's square overflows: exp has no finite
+        # angle to take the cosine of
+        {"angle": 1e300}, {"angle": 1e200}, {"axis": [0, 0, 0]},
+    ], ids=["angle-1e300", "angle-1e200", "zero-axis"])
+    def test_bad_pose_is_usage_error(self, tmp_path, capsys, pose):
+        path = write_scene(tmp_path, {
+            "dynamics": {"inertia": {"moments": [1, 2, 3]}, "pose": pose},
+        })
+        assert main(["simulate", "--scene", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: 'pose': [^\n]+\n", captured.err)
+
     @pytest.mark.parametrize("unbuffered", [None, "1"],
                              ids=["buffered", "unbuffered"])
     def test_closed_pipe_exits_without_traceback(self, unbuffered):

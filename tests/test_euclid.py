@@ -13,6 +13,7 @@ from pgakit.euclid import (
     direction,
     distance,
     euclidean_norm,
+    euclidean_norm_of,
     flat_kind,
     ideal_norm,
     ideal_plane,
@@ -119,6 +120,24 @@ class TestNorms:
         x = pga3.parse("3.0*e01 + 4.0*e02 + 7.0*e12")
         assert ideal_norm(x) == pytest.approx(5.0, abs=1e-14)
         assert euclidean_norm(x) == pytest.approx(7.0, abs=1e-14)
+
+    def test_norm_of_coefficients_is_the_scalar_product_bitwise(
+            self, pga2, pga3, rng):
+        # the reverse folded into the kernel's signs changes no bit of
+        # sqrt|<x ~x>_0|, signed zeros, huge and non-finite slots included
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200]
+        for alg in (pga2, pga3):
+            for _ in range(500):
+                c = rng.normal(size=alg.size) * 10.0 ** rng.uniform(
+                    -3, 3, alg.size)
+                c[rng.random(alg.size) < 0.3] = rng.choice(special)
+                x = alg.from_coeffs(c)
+                with np.errstate(all="ignore"):
+                    got = (euclidean_norm_of(alg, c), euclidean_norm(x))
+                    want = math.sqrt(abs(x.scalar_product(x.reverse())))
+                for value in got:
+                    assert (np.float64(value).tobytes()
+                            == np.float64(want).tobytes())
 
     def test_is_ideal(self, pga3):
         assert is_ideal(ideal_plane(pga3))

@@ -190,6 +190,16 @@ class TestScrews:
         assert eu.is_zero() and ideal.close_to(pga3.blade("e01", 0.7))
 
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_split_refuses_an_overflowing_square(self, pga3, scale):
+        b = axis_line(pga3, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]) * scale
+        with np.errstate(over="ignore"), pytest.raises(
+                GeometryError, match="square is not finite"):
+            exp_bivector(b)
+        with np.errstate(over="ignore"), pytest.raises(GeometryError):
+            screw_split(b)
+
+
 class TestExpLog:
     def test_round_trip(self, pga3, rng):
         for _ in range(100):
