@@ -27,15 +27,16 @@ Only ±0.0 terms are dropped, so states, CSV rows and the step at which a
 run diverges are bitwise those of whole-multivector products, down to
 the residue the pose and momentum keep in their scalar and pseudoscalar.
 
-``write_trajectory`` steps with ``rk4_step`` and keeps the states of
-BLOCK_ROWS steps in one array.  Per block it checks every state for
-finiteness once, computes the energies and the space momenta of all
-rows (the kernel on stacked operands, each row bitwise its own
-product), formats the block with one ``%`` and writes it with one
-call.  ``csv_row``, ``energy`` and ``spatial_momentum`` are the one-row
-cases of the same code, so the written bytes are those of ``csv_row``
-for each state ``integrate`` would show its observer, and a run that
-diverges writes the same rows and raises the same error.
+``write_trajectory`` writes the initial state's row with ``csv_row``,
+then steps with ``rk4_step`` and keeps the states of BLOCK_ROWS steps
+in one array.  Per block it checks every state for finiteness once,
+computes the energies and the space momenta of all rows (the kernel on
+stacked operands, each row bitwise its own product), formats the block
+with one ``%`` and writes it with one call.  ``csv_row``, ``energy`` and
+``spatial_momentum`` are the one-row cases of the same code, so the
+written bytes are those of ``csv_row`` for each state ``integrate``
+would show its observer, and a run that diverges writes the same rows
+and raises the same error.
 """
 
 from __future__ import annotations
@@ -297,40 +298,46 @@ def csv_row(t: float, state: BodyState, inertia: InertiaOperator) -> str:
 def write_trajectory(out: TextIO, state: BodyState, inertia: InertiaOperator,
                      h: float, steps: int, renormalize: bool = True) -> BodyState:
     """The CSV header, then ``csv_row`` of every state ``integrate`` would
-    show its observer, stepped with ``rk4_step`` and written BLOCK_ROWS
-    states at a time; a run that diverges writes the rows before the
-    state or row it fails on and raises as ``integrate`` would, with
-    ``: the row is not finite`` when a finite state has a non-finite
-    row."""
+    show its observer: the initial one through ``csv_row`` itself, the
+    states ``rk4_step`` makes BLOCK_ROWS at a time.  A run that diverges
+    writes the rows before the state or row it fails on and raises as
+    ``integrate`` would, with ``: the row is not finite`` when a finite
+    state has a non-finite row."""
     out.write(CSV_HEADER + "\n")
     _check_run(state, h, steps)
     alg = state.pose.algebra
     block = np.empty((BLOCK_ROWS, 2 * alg.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        block[0] = state._coeffs
-        first, rows = 0, 1  # the step in block[0], the rows filled
+        # the initial state is checked only through its row, as in integrate
+        _write_rows(out, 0, csv_row(0.0, state, inertia) + "\n")
+        rows = 0
         for i in range(1, steps + 1):
-            if rows == BLOCK_ROWS:
-                _write_block(out, alg, first, block, inertia, h)
-                first, rows = i, 0
             state = rk4_step(state, inertia, h, renormalize)
             block[rows] = state._coeffs
             rows += 1
-        _write_block(out, alg, first, block[:rows], inertia, h)
+            if rows == BLOCK_ROWS or i == steps:
+                _write_block(out, alg, i + 1 - rows, block[:rows], inertia, h)
+                rows = 0
     return state
 
 
 def _write_block(out: TextIO, alg: Algebra, first: int, ys: np.ndarray,
                  inertia: InertiaOperator, h: float) -> None:
     """Write the rows of the states of steps first, first + 1, ... up to
-    the first state that is not finite, and raise there.  The initial
-    state is checked only through its row, as in ``integrate``; states
-    after a failing one are dropped."""
+    the first state that is not finite, and raise there; states after a
+    failing one are dropped."""
     finite = np.isfinite(ys).all(axis=1)
-    finite[0] |= first == 0
     stop = len(ys) if finite.all() else int(finite.argmin())
-    text = _csv_rows(alg, np.arange(first, first + stop) * h, ys[:stop],
-                     inertia) if stop else ""
+    if stop:
+        _write_rows(out, first, _csv_rows(
+            alg, np.arange(first, first + stop) * h, ys[:stop], inertia))
+    if stop < len(ys):
+        raise GeometryError(f"integration diverged at step {first + stop}")
+
+
+def _write_rows(out: TextIO, first: int, text: str) -> None:
+    """Write the CSV lines of steps first, first + 1, ... up to the first
+    one with a non-finite value, and raise there."""
     # %.17g spells a non-finite value inf or nan, a finite one never
     if "inf" in text or "nan" in text:
         lines = text.splitlines(keepends=True)
@@ -340,8 +347,6 @@ def _write_block(out: TextIO, alg: Algebra, first: int, ys: np.ndarray,
         raise GeometryError(f"integration diverged at step {first + j}:"
                             " the row is not finite")
     out.write(text)
-    if stop < len(ys):
-        raise GeometryError(f"integration diverged at step {first + stop}")
 
 
 def solution_space_dims(model: str) -> tuple[int, int, int]:

@@ -94,16 +94,8 @@ def euclidean_norm(x: Multivector) -> float:
 def euclidean_norm_of(alg: Algebra, coeffs: np.ndarray) -> float:
     """sqrt|<x ~x>_0| from x's coefficients, for callers that hold an
     array rather than a ``Multivector``."""
-    return math.sqrt(abs(float(alg.product(alg.cached(_norm_pairs), coeffs,
-                                           coeffs, 1)[0])))
-
-
-def _norm_pairs(alg: Algebra):
-    """The ``"scalar"`` pairs with the reverse folded into their signs.
-    A sign flip is exact, so each term (x_i * s * r_i) * x_i is bitwise
-    x.scalar_product(x.reverse())'s (x_i * s) * (x_i * r_i)."""
-    i, j, k, sign = alg.pairs["scalar"]
-    return i, j, k, sign * alg.reverse_sign[j]
+    return math.sqrt(abs(float(alg.product(
+        alg.pairs["scalar"], coeffs, coeffs * alg.reverse_sign, 1)[0])))
 
 
 def ideal_norm(x: Multivector) -> float:

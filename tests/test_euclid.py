@@ -123,8 +123,8 @@ class TestNorms:
 
     def test_norm_of_coefficients_is_the_scalar_product_bitwise(
             self, pga2, pga3, rng):
-        # the reverse folded into the kernel's signs changes no bit of
-        # sqrt|<x ~x>_0|, signed zeros, huge and non-finite slots included
+        # the array form gives every bit of sqrt|<x ~x>_0|, signed zeros,
+        # huge and non-finite slots included
         special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200]
         for alg in (pga2, pga3):
             for _ in range(500):

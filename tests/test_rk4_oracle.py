@@ -122,7 +122,7 @@ def test_seeded_scenes(seed):
 @pytest.mark.parametrize("steps", [0, 1, 255, 256, 257, 600])
 def test_seeded_scenes_across_blocks(seed, steps):
     """Step counts on and around the edges of write_trajectory's blocks
-    (BLOCK_ROWS states, the initial one included)."""
+    (BLOCK_ROWS stepped states, after the initial row)."""
     assert dynamics.BLOCK_ROWS == 256
     state, inertia, h, renormalize = _seeded(seed)
     assert_same_run(state, inertia, h, steps, renormalize)
@@ -159,18 +159,23 @@ def test_non_finite_initial_state():
 
 
 @pytest.mark.parametrize("h, renormalize, message", [
-    # the state of step 256 overflows: the first state of the second block
+    # the state of step 256 overflows: the last state of the first block
     (0.2994878141113604, True, "integration diverged at step 256"),
     (0.2994878141113604, False, "integration diverged at step 256"),
     # the state of step 256 is finite, its row is not
     (0.29948781411136033, True,
      "integration diverged at step 256: the row is not finite"),
+    # the first state of the second block
+    (0.299487813949585, True, "integration diverged at step 257"),
+    (0.299487813949585, False, "integration diverged at step 257"),
+    (0.2994877844618789, True,
+     "integration diverged at step 257: the row is not finite"),
     # the first state of the third block
-    (0.29948669301055825, True, "integration diverged at step 512"),
+    (0.2994866926193237, True, "integration diverged at step 513"),
 ])
 def test_divergence_at_a_block_edge(h, renormalize, message):
     """Step sizes just past RK4's stability limit for this body, tuned so
-    the run overflows on the first row of a later block."""
+    the run overflows on the last or the first state of a block."""
     alg = pga(3)
     inertia = dynamics.InertiaOperator((1.0, 2.0, 3.0), 1.0)
     state = dynamics.BodyState(alg.scalar(1.0), dynamics.bivector_from_vectors(
