@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -322,6 +322,7 @@ def build_algebra(signature: Signature) -> Algebra:
     return Algebra(signature)
 
 
+@cache
 def pga(n: int) -> Algebra:
     """Euclidean plane-based algebra: 1-vectors are hyperplanes."""
     if n not in (2, 3):
@@ -329,6 +330,7 @@ def pga(n: int) -> Algebra:
     return build_algebra(Signature(n, 0, 1, orientation="dual"))
 
 
+@cache
 def cga(n: int = 3) -> Algebra:
     """Conformal algebra over euclidean n-space, point-based."""
     return build_algebra(Signature(n + 1, 1, 0, orientation="standard"))
@@ -497,11 +499,10 @@ class Multivector:
     __hash__ = None
 
     def __str__(self):
-        parts = []
-        for c, name in zip(self.coeffs, self.algebra.names):
-            if c == 0.0:
-                continue
-            c = float(c)
+        parts, names = [], self.algebra.names
+        nonzero = np.flatnonzero(self.coeffs)  # NaN is nonzero, -0.0 is not
+        for i, c in zip(nonzero.tolist(), self.coeffs[nonzero].tolist()):
+            name = names[i]
             sep = " - " if c < 0 and parts else (" + " if parts else "")
             mag = repr(abs(c)) if parts else repr(c)
             parts.append(sep + (mag if name == "1" else f"{mag}*{name}"))

@@ -41,6 +41,14 @@ of the wrong type, and a non-finite number (``NaN``, ``Infinity``,
 In a "cga" scene, points embed onto the null cone and the wedge spans
 instead of meeting; ``construct`` refuses such scenes because its
 expressions assume plane-based operators.
+
+``main`` parses once per call.  When argv[0] names a command, the rest
+goes straight to that command's own parser, one of the objects
+``build_parsers`` made, as argparse's subparsers action would pass it;
+only an argv that names no command (none, ``-h``, an unknown word) runs
+the top-level parser.  Help, usage and error text therefore come from
+the same parser objects either way, and leftover arguments still end in
+the top-level parser's "unrecognized arguments" error.
 """
 
 from __future__ import annotations
@@ -439,7 +447,10 @@ def _seed(text: str) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, built once, and each command's own parser by
+    name: the subparsers action's ``choices``."""
     parser = argparse.ArgumentParser(
         prog="pgakit",
         description="plane-based geometric algebra: constructions,"
@@ -476,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--reps", type=_reps, default=20000)
     bench.set_defaults(func=cmd_bench)
-    return parser
+    return parser, sub.choices
 
 
 def _fail(message: str) -> None:
@@ -495,13 +506,20 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # usage, help or an invalid choice
+        args, extra = parser.parse_known_args(argv)
+    else:  # what the subparsers action would do, without the outer pass
+        args, extra = command.parse_known_args(argv[1:])
+        args.command = argv[0]
     # argparse takes an expression that starts with a minus for an option
     if getattr(args, "expression", "") is None and len(extra) == 1 \
             and not extra[0].startswith("--"):
         args.expression, extra = extra[0], []
     if extra:
-        build_parser().error("unrecognized arguments: " + " ".join(extra))
+        parser.error("unrecognized arguments: " + " ".join(extra))
     if args.func is cmd_eval and args.expression is None:
         args.parser.error("the following arguments are required: expression")
     try:

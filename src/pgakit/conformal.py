@@ -26,7 +26,11 @@ points are bitwise those of ``n_origin + x + h n_inf``.  From h = 2^52
 (|x| about 9.49e7) the two slots round and lose the pairing with n_inf:
 such a point is too far from the origin to embed (GeometryError).
 Pairings are ``Multivector.scalar_product``, the scalar slot of ``gp``
-without the rest of it.
+without the rest of it.  n_inf's coefficients are built once per algebra,
+read-only (``alg.cached(_n_inf_coeffs)``): ``infinity_pairing`` runs the
+same kernel call as ``p.scalar_product(n_infinity(alg))`` on them, and
+``translator`` and ``flat_rep`` wrap them; ``n_infinity()`` still hands
+out a fresh, writable copy.
 """
 
 from __future__ import annotations
@@ -57,11 +61,17 @@ def n_origin(alg: Algebra) -> Multivector:
     return Multivector(alg, out)
 
 
-def n_infinity(alg: Algebra) -> Multivector:
+def _n_inf_coeffs(alg: Algebra) -> np.ndarray:
+    """n_inf's coefficients, shared by every caller, so read-only."""
     _, plus, minus = alg.cached(_null_slots)
     out = np.zeros(alg.size)
     out[plus] = out[minus] = 1.0
-    return Multivector(alg, out)
+    out.flags.writeable = False
+    return out
+
+
+def n_infinity(alg: Algebra) -> Multivector:
+    return Multivector(alg, alg.cached(_n_inf_coeffs).copy())
 
 
 def _coords(alg: Algebra, coords) -> np.ndarray:
@@ -81,11 +91,11 @@ def euclidean_vector(alg: Algebra, coords) -> Multivector:
 def up(alg: Algebra, *coords) -> Multivector:
     """Null point for a euclidean position, n_inf pairing normalized to -1."""
     if len(coords) == 1 and np.ndim(coords[0]) == 1:
-        coords = tuple(coords[0])
+        coords = coords[0]
     vec, plus, minus = alg.cached(_null_slots)
     x = _coords(alg, coords)
-    try:
-        sq = sum(float(c) ** 2 for c in coords)
+    try:  # c ** 2 is pow, which c * c need not match on every libm
+        sq = sum(c ** 2 for c in x.tolist())
     except OverflowError:
         sq = math.inf
     h = 0.5 * sq
@@ -100,7 +110,12 @@ def up(alg: Algebra, *coords) -> Multivector:
 
 
 def infinity_pairing(p: Multivector) -> float:
-    return p.scalar_product(n_infinity(p.algebra))
+    """p . n_inf, bitwise ``p.scalar_product(n_infinity(alg))``: the same
+    kernel call on the cached coefficients, so a NaN or inf in a slot
+    n_inf zeroes still propagates."""
+    alg = p.algebra
+    return float(alg.product(alg.pairs["scalar"], p.coeffs,
+                             alg.cached(_n_inf_coeffs), 1)[0])
 
 
 def is_null(p: Multivector, tol: float = NULL_TOL) -> bool:
@@ -115,6 +130,8 @@ def down(p: Multivector) -> np.ndarray:
     w = -infinity_pairing(p)
     if abs(w) <= ROUNDING * (abs(p.coeffs[plus]) + abs(p.coeffs[minus])):
         raise GeometryError("point at infinity has no euclidean coordinates")
+    if abs(w) >= 1.0:  # no quotient can overflow
+        return p.coeffs[vec] / w
     with np.errstate(over="ignore"):  # refused just below
         x = p.coeffs[vec] / w
     if abs(w) < 1.0 and np.isinf(x).any():  # only a small w overflows
@@ -146,7 +163,8 @@ def cga_distance(p: Multivector, q: Multivector) -> float:
 def rotor(alg: Algebra, axis, angle: float) -> Multivector:
     """Rotation versor about an axis through the origin, right-handed."""
     u = np.asarray(axis, dtype=float)
-    nu = float(np.linalg.norm(u))
+    flat = u.ravel(order="K")
+    nu = math.sqrt(flat.dot(flat))  # np.linalg.norm's own sum and root
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
     alg.require("cga", 3)
@@ -159,7 +177,8 @@ def rotor(alg: Algebra, axis, angle: float) -> Multivector:
 def translator(alg: Algebra, offset) -> Multivector:
     """Translation versor 1 - (1/2) t n_inf."""
     t = euclidean_vector(alg, offset)
-    return alg.scalar(1.0) - t.gp(n_infinity(alg)) * 0.5
+    ninf = Multivector(alg, alg.cached(_n_inf_coeffs))
+    return alg.scalar(1.0) - t.gp(ninf) * 0.5
 
 
 def flat_rep(x: Multivector) -> Multivector:
@@ -175,7 +194,7 @@ def flat_rep(x: Multivector) -> Multivector:
     alg_in = x.algebra
     alg_in.require("pga", 3)
     out = cga(3)
-    ninf = n_infinity(out)
+    ninf = Multivector(out, out.cached(_n_inf_coeffs))
     if euclid.is_ideal(x):
         raise GeometryError("ideal flats lie outside the embedding")
     kind = euclid.flat_kind(x)
@@ -185,7 +204,7 @@ def flat_rep(x: Multivector) -> Multivector:
         foot = (x | euclid.origin(alg_in)) ^ x
         a = euclid.point_coords(foot)
         u = euclid.direction(x)
-        u = u / np.linalg.norm(u)
+        u = u / math.sqrt(u.dot(u))
         return up(out, a) ^ up(out, a + u) ^ ninf
     if kind == "plane":
         pl = euclid.normalize(x)
@@ -195,7 +214,7 @@ def flat_rep(x: Multivector) -> Multivector:
         if abs(normal[0]) > 0.9:
             seed = np.array([0.0, 1.0, 0.0])
         t1 = seed - np.dot(seed, normal) * normal
-        t1 /= np.linalg.norm(t1)
+        t1 /= math.sqrt(t1.dot(t1))
         t2 = np.cross(normal, t1)
         return (up(out, base) ^ up(out, base + t1)
                 ^ up(out, base + t2) ^ ninf)

@@ -256,9 +256,9 @@ def integrate(state: BodyState, inertia: InertiaOperator, h: float,
     """Fixed-step fourth-order run; the observer sees every state
     including the initial one."""
     _check_run(state, h, steps)
-    # overflow on the way to the finite check is reported as divergence,
-    # not as a stream of numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, and renormalising a pose of zero norm, on the way to the
+    # finite check are reported as divergence, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if observer is not None:
             observer(0, 0.0, state)
         for i in range(1, steps + 1):
@@ -307,7 +307,7 @@ def write_trajectory(out: TextIO, state: BodyState, inertia: InertiaOperator,
     _check_run(state, h, steps)
     alg = state.pose.algebra
     block = np.empty((BLOCK_ROWS, 2 * alg.size))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the initial state is checked only through its row, as in integrate
         _write_rows(out, 0, csv_row(0.0, state, inertia) + "\n")
         rows = 0

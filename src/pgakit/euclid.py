@@ -24,6 +24,7 @@ CROSS_CHECK_TOL = 1e-12
 INCIDENCE_TOL = 1e-9
 NORMALIZED_TOL = 1e-9
 JUNK_TOL = 1e-12
+EPSILON = 2.0 ** -52  # spacing of floats at 1.0
 
 
 def significant_grades(x: "Multivector") -> tuple:
@@ -133,11 +134,17 @@ def normalize(x: Multivector) -> Multivector:
 
 
 def point_coords(p: Multivector) -> np.ndarray:
-    """Cartesian coordinates of a (not necessarily unit-weight) point."""
+    """Cartesian coordinates of a (not necessarily unit-weight) point.
+
+    The weight w is refused only where it is not finite, or where it is
+    within rounding of zero against the point's own ideal slots w x_i,
+    |w| <= 2^-52 max |w x_i|.  So a far point keeps its coordinates, up
+    to |x| = 2^52 for a unit weight."""
     w = weight(p)
-    if abs(w) <= NORMALIZED_TOL * max(1.0, p.norm()):
+    scaled = p.algebra.cached(_coord_table) @ p.coeffs
+    if not math.isfinite(w) or abs(w) <= EPSILON * np.abs(scaled).max():
         raise GeometryError("ideal point has no cartesian coordinates")
-    return p.algebra.cached(_coord_table) @ p.coeffs / w
+    return scaled / w
 
 
 def ideal_direction(p: Multivector) -> np.ndarray:

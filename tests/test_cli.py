@@ -637,3 +637,113 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["construct"])
         assert err.value.code == 2
+
+
+TOP_USAGE = "usage: pgakit [-h] {construct,simulate,eval,check,bench} ...\n"
+EVAL_USAGE = "usage: pgakit eval [-h] [--scene SCENE] expression\n"
+CONSTRUCT_USAGE = "usage: pgakit construct [-h] --scene SCENE [expression]\n"
+EVAL_E1 = "# algebra pga(3): '^' is meet, '&' is join\n-1.0*e1\n"
+
+# argv: exit code, stdout, stderr, each exact at 80 columns
+USAGE_PATHS = {
+    "none": ([], 2, "", TOP_USAGE + "pgakit: error: the following"
+             " arguments are required: command\n"),
+    "help": (["-h"], 0, TOP_USAGE + """
+plane-based geometric algebra: constructions, rigid-body runs, invariant
+checks
+
+positional arguments:
+  {construct,simulate,eval,check,bench}
+    construct           evaluate a construction against a scene
+    simulate            integrate the scene's rigid body, CSV out
+    eval                evaluate one expression
+    check               run the invariant suites
+    bench               time the product kernels
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    # the wording of argparse's list of choices varies across Pythons;
+    # the dispatch test below holds this case to the top-level parser's
+    "bogus": (["bogus"], 2, "", None),
+    "eval": (["eval"], 2, "", EVAL_USAGE + "pgakit eval: error: the"
+             " following arguments are required: expression\n"),
+    "eval-help": (["eval", "-h"], 0, EVAL_USAGE + """
+positional arguments:
+  expression
+
+options:
+  -h, --help     show this help message and exit
+  --scene SCENE
+""", ""),
+    "eval-extra": (["eval", "e1", "extra"], 2, "",
+                   TOP_USAGE + "pgakit: error: unrecognized arguments:"
+                   " extra\n"),
+    "eval-dashes": (["eval", "--", "-e1"], 0, EVAL_E1, ""),
+    "eval-minus": (["eval", "-e1"], 0, EVAL_E1, ""),
+    "construct": (["construct"], 2, "", CONSTRUCT_USAGE + "pgakit"
+                  " construct: error: the following arguments are"
+                  " required: --scene\n"),
+    "construct-bogus": (["construct", "--bogus", "x"], 2, "",
+                        CONSTRUCT_USAGE + "pgakit construct: error: the"
+                        " following arguments are required: --scene\n"),
+    "simulate-help": (["simulate", "--help"], 0, """\
+usage: pgakit simulate [-h] --scene SCENE [--steps STEPS] [--h H]
+                       [--no-renormalize] [--out OUT]
+
+options:
+  -h, --help        show this help message and exit
+  --scene SCENE
+  --steps STEPS
+  --h H
+  --no-renormalize
+  --out OUT
+""", ""),
+}
+
+
+def _outcome(capsys, argv=None):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestUsagePaths:
+    """``main`` hands a command's arguments to that command's own parser;
+    the top-level parser runs only when argv names no command."""
+
+    @pytest.mark.parametrize("argv, code, out, err", USAGE_PATHS.values(),
+                             ids=USAGE_PATHS)
+    def test_exact_output(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = _outcome(capsys, argv)
+        assert got[:2] == (code, out)
+        if err is None:
+            assert got[2].startswith(TOP_USAGE + "pgakit: error: argument"
+                                     " command: invalid choice: ")
+        else:
+            assert got[2] == err
+
+    @pytest.mark.parametrize("argv", [
+        *(case[0] for case in USAGE_PATHS.values()),
+        ["--", "eval", "e1"], ["-h", "eval"], ["eval", "e1", "-h"],
+        ["eval", "--", "--", "-e1"], ["eval", "-e1", "-e2"],
+        ["eval", "--scene"], ["check", "--seed", "-1"], ["check", "extra"],
+        ["construct", "--scene", str(SCENES / "perpendicular.json")],
+        ["eval", "--sc", str(SCENES / "cga_points.json"), "P | Q"],
+    ], ids=lambda argv: " ".join(map(os.path.basename, argv)) or "none")
+    def test_same_as_top_level_dispatch(self, capsys, monkeypatch, argv):
+        """Byte for byte what argparse's subparsers action gives, which
+        main still uses when no command parser is known."""
+        monkeypatch.setenv("COLUMNS", "80")
+        direct = _outcome(capsys, argv)
+        parser, _ = cli.build_parsers()
+        monkeypatch.setattr(cli, "build_parsers", lambda: (parser, {}))
+        assert _outcome(capsys, argv) == direct
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["pgakit", "eval", "-e1"])
+        assert _outcome(capsys) == (0, EVAL_E1, "")

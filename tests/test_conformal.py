@@ -367,3 +367,41 @@ class TestDimensionAudit:
         assert len(pga3.basis_blades(2)) == 6
         assert sum(1 for g in cga3.grades if g % 2 == 0) == 16
         assert cga3.size == 32
+
+
+class TestCachedInfinity:
+    """infinity_pairing, translator and flat_rep share one read-only n_inf."""
+
+    def test_pairing_is_bitwise_the_scalar_product(self, cga3, rng):
+        _, plus, minus = cga3.cached(cf._null_slots)
+        points = [cf.up(cga3, x) for x in seeded_points(rng, 200)]
+        cases = [p * s for p in points for s in (1.0, -3.5, 1e-300, 1e300)]
+        for p in points[:20]:
+            for slot in (0, 1, plus, minus, cga3.size - 1):  # zero and n_inf slots
+                for bad in (math.nan, math.inf, -math.inf):
+                    c = p.coeffs.copy()
+                    c[slot] = bad
+                    cases.append(cga3.from_coeffs(c))
+        with np.errstate(all="ignore"):  # NaN coordinates, inf * 0
+            for p in cases:
+                want = p.scalar_product(cf.n_infinity(cga3))
+                got = cf.infinity_pairing(p)
+                assert (np.float64(got).tobytes()
+                        == np.float64(want).tobytes()), p.coeffs
+
+    def test_cached_table_is_read_only(self, cga3):
+        cf.translator(cga3, [1.0, 2.0, 3.0])  # fills the cache
+        table = cga3.cached(cf._n_inf_coeffs)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+        assert np.array_equal(table, composed_n_infinity(cga3).coeffs)
+
+    def test_n_infinity_is_fresh_and_writable(self, cga3):
+        first, second = cf.n_infinity(cga3), cf.n_infinity(cga3)
+        table = cga3.cached(cf._n_inf_coeffs)
+        for ninf in (first, second):
+            assert ninf.coeffs.flags.writeable
+            assert not np.shares_memory(ninf.coeffs, table)
+        first.coeffs[0] = 5.0
+        assert second == composed_n_infinity(cga3)
+        assert cf.n_infinity(cga3) == composed_n_infinity(cga3)

@@ -299,6 +299,21 @@ class TestInvariants:
             with pytest.raises(GeometryError, match="diverged at step"):
                 integrate(state, inertia, 1e3, 50)
 
+    @pytest.mark.parametrize("run", [
+        lambda state, inertia: integrate(state, inertia, 1e-3, 5),
+        lambda state, inertia: write_trajectory(io.StringIO(), state,
+                                                inertia, 1e-3, 5),
+    ], ids=["integrate", "write_trajectory"])
+    def test_zero_norm_pose_diverges_without_a_warning(self, pga3, run):
+        """Renormalising a pose of zero euclidean norm divides by zero; that
+        is divergence at step 1, not a RuntimeWarning (an error here)."""
+        inertia = InertiaOperator((1.0, 2.0, 3.0), 1.0)
+        state = BodyState(pga3.blade("e01"),
+                          bivector_from_vectors(pga3, [1, 2, 3], [0, 0, 0]))
+        with pytest.raises(GeometryError,
+                           match="^integration diverged at step 1$"):
+            run(state, inertia)
+
 
 class TestIntermediateAxis:
     """The tennis-racket instability (Ashbaugh, Chicone & Cushman, J. Dyn.

@@ -65,6 +65,31 @@ class TestConstructors:
         p = point(pga(3), x, y, z)
         assert np.allclose(point_coords(p), [x, y, z], rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("x", [1.1e9, 1e15, -4e15])
+    def test_far_points_keep_their_coordinates(self, pga3, x):
+        """The weight is exactly 1 and above the rounding of the slots."""
+        assert np.array_equal(point_coords(point(pga3, x, 0.0, -x)),
+                              [x, 0.0, -x])
+
+    def test_weight_zero_and_nan_weight_are_ideal(self, pga3):
+        line = line_from_points(point(pga3, 1, 2, 3), point(pga3, 4, -1, 0))
+        at_infinity = line ^ ideal_plane(pga3)
+        assert weight(at_infinity) == 0.0
+        nan_weight = point(pga3, 1.0, 2.0, 3.0)
+        nan_weight.coeffs[pga3.pos_of_name("e123")] = math.nan
+        tiny = point(pga3, 1.0, 2.0, 3.0)
+        tiny.coeffs[pga3.pos_of_name("e123")] = 2.0 ** -52 * 3.0
+        # from |x| = 2^52 on, a unit weight is within the slots' rounding
+        beyond = point(pga3, 0.0, 2.0 ** 52, 0.0)
+        for p in (at_infinity, nan_weight, tiny, pga3.zero(), beyond):
+            with pytest.raises(GeometryError, match="ideal point"):
+                point_coords(p)
+
+    def test_small_weight_against_small_slots(self, pga3):
+        """A tiny weight is refused only against the point's own slots."""
+        p = point(pga3, 1.0, -2.0, 0.5) * 1e-300
+        assert np.allclose(point_coords(p), [1.0, -2.0, 0.5], rtol=1e-15)
+
     def test_plane_contains_solutions(self, pga3):
         # x + 2y - z + 3 = 0 holds at (1, 0, 4) and (-3, 0, 0)
         pl = normalize(plane(pga3, 1.0, 2.0, -1.0, 3.0))
