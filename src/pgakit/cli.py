@@ -135,20 +135,30 @@ def _build_entity(alg: Algebra, name: str, blocks) -> Multivector:
                      f" in a {model} scene")
 
 
-def _finite(token: str) -> str:
-    """JSON number hook: NaN, Infinity and literals past the float range."""
-    if not math.isfinite(float(token)):
+def _finite(token: str) -> float:
+    """JSON number hook: the token's float, refusing NaN, Infinity and
+    literals past the float range."""
+    value = float(token)
+    if not math.isfinite(value):
         raise SceneError(f"scene number {token} is not finite")
-    return token
+    return value
+
+
+def _finite_int(token: str) -> int:
+    _finite(token)  # an integer past the float range is refused too
+    return int(token)
 
 
 def load_scene(path: str) -> Scene:
     try:
+        with open(path, "rb") as f:
+            raw = f.read()
         # RFC 8259: JSON exchanged between systems is UTF-8
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f, parse_float=lambda t: float(_finite(t)),
-                            parse_int=lambda t: int(_finite(t)),
-                            parse_constant=_finite)
+        text = raw.decode("utf-8")
+        if "\r" in text:  # the newlines a text-mode read translates
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text, parse_float=_finite, parse_int=_finite_int,
+                         parse_constant=_finite)
     except OSError as e:
         raise SceneError(f"cannot read scene: {e}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -277,8 +287,7 @@ def cmd_eval(args) -> int:
         scene = Scene(pga(3), {}, None)
     result = dsl.evaluate(dsl.parse(args.expression), scene.algebra,
                           scene.entities)
-    print(_banner(scene.algebra))
-    print(result)
+    sys.stdout.write(f"{_banner(scene.algebra)}\n{result}\n")
     return 0
 
 

@@ -29,8 +29,23 @@ Pairings are ``Multivector.scalar_product``, the scalar slot of ``gp``
 without the rest of it.  n_inf's coefficients are built once per algebra,
 read-only (``alg.cached(_n_inf_coeffs)``): ``infinity_pairing`` runs the
 same kernel call as ``p.scalar_product(n_infinity(alg))`` on them, and
-``translator`` and ``flat_rep`` wrap them; ``n_infinity()`` still hands
-out a fresh, writable copy.
+``flat_rep`` wedges with them; ``n_infinity()`` still hands out a fresh,
+writable copy.
+
+The versors are slot writes too.  ``rotor``'s plane e012 u and
+``translator``'s t n_inf each have one nonzero term per slot, so both
+write 0.0 - (sign * value) * factor onto the slots of one cached table
+(``_rotor_slots``, ``_translator_slots``), whose (slot, sign) pairs are
+read off ``alg.pairs["gp"]``: the composed cos - plane sin and
+1 - t n_inf / 2 to the byte, +0.0 in every other slot, and no kernel
+call (a non-finite axis or offset stays non-finite, with NaNs on fewer
+slots).  ``flat_rep`` runs its wedges on restricted pairs: ``outer``'s
+pairs with a 1-vector on the right (``_wedge_pairs``), enough for each
+point and for n_inf, since the terms it drops are zeros of up() points
+and n_inf; it reads a cached, read-only plane-based origin
+(``_origin_coeffs``).  What still runs a full product list in cga(3)
+is a product the caller asks for: a translator times a rotor, or a
+sandwich.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, cga
+from .algebra import Algebra, GeometryError, Multivector, cga, restrict
 
 NULL_TOL = 1e-12
 PAIRING_TOL = 1e-9
@@ -160,25 +175,88 @@ def cga_distance(p: Multivector, q: Multivector) -> float:
     return math.sqrt(d2)
 
 
+def _gp_terms(alg: Algebra, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """Slot and sign of the gp of blades left[m] and right[m], for each m,
+    read off ``alg.pairs["gp"]`` (a conformal metric zeroes no pair)."""
+    i, j, k, sign = alg.pairs["gp"]
+    at = [np.flatnonzero((i == a) & (j == b))[0] for a, b in zip(left, right)]
+    return k[at], sign[at]
+
+
+def _rotor_slots(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """Where e012 e_i lands, for each euclidean e_i: the rotor's plane."""
+    vec, _, _ = alg.cached(_null_slots)
+    e = range(vec.start, vec.stop)
+    return _gp_terms(alg, [alg.pos_of_name("e012")] * len(e), e)
+
+
+def _translator_slots(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """Where e_i e_n, then e_i e_(n+1) land: t n_inf, one slot per term."""
+    vec, plus, minus = alg.cached(_null_slots)
+    e = list(range(vec.start, vec.stop))
+    return _gp_terms(alg, e + e, [plus] * len(e) + [minus] * len(e))
+
+
+def _versor(alg: Algebra, head: float, table, values,
+            factor: float) -> Multivector:
+    """head - t * factor, where the product t has the one term
+    sign * value on each of the table's slots and only zero terms
+    elsewhere: 0.0 - (sign * value) * factor there, the composed
+    subtraction's value, whose zeros all come out +0.0."""
+    slots, signs = table
+    out = np.zeros(alg.size)
+    out[0] = head  # head - (+0.0 * factor): head, never zero itself
+    out[slots] = 0.0 - (signs * values) * factor
+    return Multivector(alg, out)
+
+
 def rotor(alg: Algebra, axis, angle: float) -> Multivector:
-    """Rotation versor about an axis through the origin, right-handed."""
+    """Rotation versor about an axis through the origin, right-handed:
+    cos(angle/2) - e012 u sin(angle/2) for the unit axis u."""
     u = np.asarray(axis, dtype=float)
     flat = u.ravel(order="K")
     nu = math.sqrt(flat.dot(flat))  # np.linalg.norm's own sum and root
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
     alg.require("cga", 3)
-    volume = alg.blade("e012")
-    plane = volume.gp(euclidean_vector(alg, u / nu))
+    u = _coords(alg, u / nu)
     half = 0.5 * float(angle)
-    return alg.scalar(math.cos(half)) - plane * math.sin(half)
+    return _versor(alg, math.cos(half), alg.cached(_rotor_slots), u,
+                   math.sin(half))
 
 
 def translator(alg: Algebra, offset) -> Multivector:
     """Translation versor 1 - (1/2) t n_inf."""
-    t = euclidean_vector(alg, offset)
-    ninf = Multivector(alg, alg.cached(_n_inf_coeffs))
-    return alg.scalar(1.0) - t.gp(ninf) * 0.5
+    table = alg.cached(_translator_slots)
+    t = _coords(alg, offset)
+    return _versor(alg, 1.0, table, np.concatenate((t, t)), 0.5)
+
+
+def _wedge_pairs(alg: Algebra) -> tuple[np.ndarray, ...]:
+    """``outer``'s pairs with a 1-vector on the right: every wedge
+    flat_rep makes, a blade of points with one more point or n_inf."""
+    every = np.arange(alg.size)
+    return restrict(alg.pairs["outer"], every, every[alg.grade_slice[1]])
+
+
+def _origin_coeffs(alg: Algebra) -> np.ndarray:
+    """The plane-based origin's coefficients, shared, so read-only."""
+    from . import euclid
+
+    out = euclid.origin(alg).coeffs
+    out.flags.writeable = False
+    return out
+
+
+def _span(points: list[Multivector]) -> Multivector:
+    """points[0] ^ points[1] ^ ... ^ n_inf, wedged left to right."""
+    alg = points[0].algebra
+    pairs = alg.cached(_wedge_pairs)
+    blade = points[0].coeffs
+    for v in points[1:]:
+        blade = alg.product(pairs, blade, v.coeffs)
+    return Multivector(alg, alg.product(pairs, blade,
+                                        alg.cached(_n_inf_coeffs)))
 
 
 def flat_rep(x: Multivector) -> Multivector:
@@ -194,18 +272,18 @@ def flat_rep(x: Multivector) -> Multivector:
     alg_in = x.algebra
     alg_in.require("pga", 3)
     out = cga(3)
-    ninf = Multivector(out, out.cached(_n_inf_coeffs))
     if euclid.is_ideal(x):
         raise GeometryError("ideal flats lie outside the embedding")
     kind = euclid.flat_kind(x)
     if kind == "point":
-        return up(out, euclid.point_coords(x)) ^ ninf
+        return _span([up(out, euclid.point_coords(x))])
     if kind == "line":
-        foot = (x | euclid.origin(alg_in)) ^ x
+        origin = Multivector(alg_in, alg_in.cached(_origin_coeffs))
+        foot = (x | origin) ^ x
         a = euclid.point_coords(foot)
         u = euclid.direction(x)
         u = u / math.sqrt(u.dot(u))
-        return up(out, a) ^ up(out, a + u) ^ ninf
+        return _span([up(out, a), up(out, a + u)])
     if kind == "plane":
         pl = euclid.normalize(x)
         normal = np.array([pl["e1"], pl["e2"], pl["e3"]])
@@ -216,6 +294,5 @@ def flat_rep(x: Multivector) -> Multivector:
         t1 = seed - np.dot(seed, normal) * normal
         t1 /= math.sqrt(t1.dot(t1))
         t2 = np.cross(normal, t1)
-        return (up(out, base) ^ up(out, base + t1)
-                ^ up(out, base + t2) ^ ninf)
+        return _span([up(out, base), up(out, base + t1), up(out, base + t2)])
     raise GeometryError(f"no conformal representation for a {kind} input")

@@ -319,6 +319,13 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
         b = values.pop()
         a = values.pop()
         if node.op == "*":
+            # a number c scales: c b_k is each slot's one nonzero gp term,
+            # and + 0.0 the sum's start, so for the finite operands
+            # evaluate admits this is bitwise a.gp(b), at no pair list
+            if isinstance(node.left, Num):
+                return Multivector(alg, b.coeffs * node.left.value + 0.0)
+            if isinstance(node.right, Num):
+                return Multivector(alg, a.coeffs * node.right.value + 0.0)
             return a.gp(b)
         if node.op == "^":
             return a.outer(b)

@@ -9,7 +9,10 @@ exp writes its value straight from those parts, no series:
     exp(b) = cos(alpha) + (sin(alpha)/alpha) alpha*u
              + cos(alpha) beta*u*I - beta sin(alpha) I,
 
-and log reads the same four terms back off a motor.
+and log reads the same four terms back off a motor.  The split needs
+every bivector to be such a screw, which holds in pga(n) for n <= 3;
+from pga(4) on, e12 + e34 is none (its square has a grade-4 part), so
+``_split`` and ``log_versor`` refuse those algebras.
 
 The biquaternion half of this module is deliberately independent: it
 multiplies pairs of quaternions with the hand-written Hamilton product
@@ -55,15 +58,28 @@ def normalize_versor(g: Multivector) -> Multivector:
 
 
 def _require_unit(g: Multivector, message: str):
-    if abs(g.scalar_product(g.reverse()) - 1.0) > VERSOR_TOL:
+    """A unit norm, NaN failing (``not <=``), and finite coefficients: the
+    norm reads only the euclidean slots, never the ideal ones."""
+    defect = abs(g.scalar_product(g.reverse()) - 1.0)
+    if not (defect <= VERSOR_TOL and np.isfinite(g.coeffs).all()):
         raise GeometryError(message)
+
+
+def _require_motor_algebra(alg: Algebra) -> None:
+    """Screw motors as written here: a plane-based algebra of at most three
+    dimensions, where every bivector is simple or a screw b = alpha*u +
+    beta*u*I.  From four on, b*b has a grade-4 part the split ignores."""
+    if alg.require("pga") > 3:
+        raise GeometryError(
+            f"screw motors need a plane-based pga(n) with n <= 3, not {alg!r}")
 
 
 def reflect(mirror: Multivector, x: Multivector) -> Multivector:
     """Reflection in a unit hyperplane, the two-sided product a x a."""
     if mirror.grades_present() != (1,):
         raise GeometryError("mirror must be a 1-vector")
-    if abs(euclidean_norm(mirror) - 1.0) > VERSOR_TOL:
+    defect = abs(euclidean_norm(mirror) - 1.0)
+    if not (defect <= VERSOR_TOL and np.isfinite(mirror.coeffs).all()):
         raise GeometryError("mirror must have unit euclidean norm")
     return mirror.gp(x).gp(mirror)
 
@@ -87,7 +103,7 @@ def _split(b: Multivector, message: str):
     b*b = -alpha^2 - 2*alpha*beta*I and b*I = alpha*u*I.  An alpha below
     SMALL_ANGLE takes b as purely ideal: parts (0, b)."""
     alg = b.algebra
-    alg.require("pga")
+    _require_motor_algebra(alg)
     if not b.is_zero() and b.grades_present() != (2,):
         raise GeometryError(message)
     sq = b.gp(b)
@@ -129,7 +145,7 @@ def log_versor(g: Multivector) -> Multivector:
     rotation half-angle lands in (0, pi).  Raises MultivaluedLogError
     when the motor is a full turn and the axis has cancelled out.
     """
-    g.algebra.require("pga")
+    _require_motor_algebra(g.algebra)
     if _parity(g) != 0:
         raise GeometryError("log needs an even versor")
     _require_unit(g, "log needs a normalized versor")

@@ -36,6 +36,17 @@ BAD_JSON = {
     "utf16": '{"algebra": {}}'.encode("utf-16"),
     "deep-array": b"[" * 100_000 + b"]" * 100_000,
 }
+# and what eval prints for each, as a text-mode read of the file gave it
+_NOT_UTF8 = ("error: scene is not valid JSON: 'utf-8' codec can't decode"
+             " byte 0xff in position 0: invalid start byte\n")
+BAD_JSON_TEXT = {
+    "not-json": "error: scene is not valid JSON: Expecting property name"
+                " enclosed in double quotes: line 1 column 2 (char 1)\n",
+    "not-utf8": _NOT_UTF8,
+    "utf16": _NOT_UTF8,
+    "deep-array": "error: scene is not valid JSON:"
+                  " arrays and objects nest too deeply\n",
+}
 
 
 class TestSceneLoading:
@@ -57,12 +68,50 @@ class TestSceneLoading:
         assert euclid.flat_kind(scene.entities["L"]) == "line"
         assert euclid.flat_kind(scene.entities["F"]) == "plane"
 
-    @pytest.mark.parametrize("raw", BAD_JSON.values(), ids=BAD_JSON)
-    def test_bad_json(self, tmp_path, raw):
+    @pytest.mark.parametrize("name", BAD_JSON)
+    def test_bad_json(self, tmp_path, capsys, name):
         path = tmp_path / "broken.json"
-        path.write_bytes(raw)
+        path.write_bytes(BAD_JSON[name])
         with pytest.raises(SceneError, match="valid JSON"):
             load_scene(str(path))
+        assert main(["eval", "--scene", str(path), "e1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", BAD_JSON_TEXT[name])
+
+    @pytest.mark.parametrize("name", ["perpendicular", "euler_top",
+                                      "free_top", "cga_points"])
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_newlines_load_as_text_mode_reads_them(self, tmp_path, name,
+                                                   newline):
+        lf = (SCENES / f"{name}.json").read_bytes()
+        assert b"\r" not in lf and lf.count(b"\n") > 1
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(lf.replace(b"\n", newline))
+        want, got = load_scene(str(SCENES / f"{name}.json")), load_scene(str(path))
+        assert got.algebra is want.algebra
+        assert got.dynamics_block == want.dynamics_block
+        assert list(got.entities) == list(want.entities)
+        for key, mv in want.entities.items():
+            assert got.entities[key].coeffs.tobytes() == mv.coeffs.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_newlines_keep_error_positions(self, tmp_path, capsys, newline):
+        # a wrong field and a syntax error read as from the LF copy, the
+        # latter at the line and column text mode counts
+        lf = '{"algebra": {"model": "cga",\n "n": 3},\n "entities": [1]}\n'
+        texts = []
+        for sep in ("\n", newline):
+            path = tmp_path / "broken.json"
+            path.write_bytes(lf.replace("\n", sep).encode())
+            assert main(["eval", "--scene", str(path), "e1"]) == 2
+            texts.append(capsys.readouterr().err)
+        broken = '{"algebra": {"model": "cga",\n "n": 3},\n "entities": [1,]}'
+        for sep in ("\n", newline):
+            path.write_bytes(broken.replace("\n", sep).encode())
+            assert main(["eval", "--scene", str(path), "e1"]) == 2
+            texts.append(capsys.readouterr().err)
+        assert texts[0] == texts[1] and texts[2] == texts[3]
+        assert "line 3 column 17" in texts[2]
 
     def test_undecodable_scene_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"

@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation
 
 from pgakit import conformal as cf
 from pgakit import euclid, motors
+from pgakit.duality import join
 from pgakit.euclid import GeometryError
 from pgakit.motors import sandwich
 
@@ -283,6 +284,44 @@ def composed_cga_distance(p, q):
     return math.sqrt(max(0.0, -2.0 * p.gp(q).scalar_part()))
 
 
+def composed_rotor(alg, axis, angle):
+    u = np.asarray(axis, dtype=float)
+    nu = np.linalg.norm(u)  # 0.0 once |u|^2 underflows
+    if nu == 0.0:
+        raise GeometryError("axis direction must be nonzero")
+    plane = alg.blade("e012").gp(composed_euclidean_vector(alg, u / nu))
+    half = 0.5 * float(angle)
+    return alg.scalar(math.cos(half)) - plane * math.sin(half)
+
+
+def composed_translator(alg, offset):
+    t = composed_euclidean_vector(alg, offset)
+    return alg.scalar(1.0) - t.gp(composed_n_infinity(alg)) * 0.5
+
+
+def composed_flat_rep(x):
+    """The full-pair wedges: points through up(), then ^ n_inf."""
+    pga3, cga3 = x.algebra, cf.cga(3)
+    ninf = composed_n_infinity(cga3)
+    kind = euclid.flat_kind(x)
+    if kind == "point":
+        return cf.up(cga3, euclid.point_coords(x)) ^ ninf
+    if kind == "line":
+        a = euclid.point_coords((x | euclid.origin(pga3)) ^ x)
+        u = euclid.direction(x)
+        u = u / np.linalg.norm(u)
+        return cf.up(cga3, a) ^ cf.up(cga3, a + u) ^ ninf
+    pl = euclid.normalize(x)
+    normal = np.array([pl["e1"], pl["e2"], pl["e3"]])
+    base = -pl["e0"] * normal
+    seed = np.array([0.0, 1.0, 0.0] if abs(normal[0]) > 0.9 else [1.0, 0.0, 0.0])
+    t1 = seed - np.dot(seed, normal) * normal
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(normal, t1)
+    return (cf.up(cga3, base) ^ cf.up(cga3, base + t1)
+            ^ cf.up(cga3, base + t2) ^ ninf)
+
+
 def outcome(f, *args):
     """Bytes of a result, or the type and text of the GeometryError."""
     try:
@@ -361,6 +400,105 @@ class TestSlotTableMatchesComposition:
         assert seen and max(seen) <= cga3.size
 
 
+def seeded_vectors(rng, count):
+    """Finite 3-vectors with magnitudes 1e-300 to 1e300 and signed zeros."""
+    for t in range(count):
+        x = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-300, 300, 3)
+        if t % 3 == 0:  # comparable components, so no one swamps the rest
+            x = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-3, 3)
+        if t % 5 == 0:
+            x[rng.integers(3)] = rng.choice([0.0, -0.0])
+        if t % 11 == 0:
+            x[:2] = rng.choice([0.0, -0.0], 2)
+        yield x
+
+
+def product_lengths(monkeypatch, alg):
+    """Pair-list lengths of every kernel call on ``alg`` from now on."""
+    seen, kernel = [], type(alg).product
+
+    def counted(self, pairs, a, b, bins=None):
+        if self is alg:
+            seen.append(len(pairs[0]))
+        return kernel(self, pairs, a, b, bins)
+
+    monkeypatch.setattr(type(alg), "product", counted)
+    return seen
+
+
+class TestVersorSlots:
+    """rotor and translator write each slot the composed products give."""
+
+    def test_rotor_and_translator_are_the_composed_bytes(self, cga3, rng):
+        vectors = list(seeded_vectors(rng, 2400))
+        angles = rng.uniform(-10.0, 10.0, len(vectors))
+        special = [0.0, -0.0, 1e-300, 1e300, math.pi]
+        angles[::7] = rng.choice(special, len(angles[::7]))
+        with np.errstate(over="ignore"):  # |axis|^2 past the float range
+            for x, y, angle in zip(vectors, vectors[1:], angles.tolist()):
+                assert (outcome(cf.rotor, cga3, x, angle)
+                        == outcome(composed_rotor, cga3, x, angle)), (x, angle)
+                assert (outcome(cf.translator, cga3, y)
+                        == outcome(composed_translator, cga3, y)), y
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_gives_a_non_finite_versor(self, cga3, bad):
+        for i in range(3):
+            v = np.array([0.3, -0.2, 0.9])
+            v[i] = bad
+            with np.errstate(invalid="ignore"):  # inf / inf in the unit axis
+                for versor in (cf.rotor(cga3, v, 0.7), cf.translator(cga3, v)):
+                    assert not np.isfinite(versor.coeffs).all()
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(cf.rotor(cga3, [0, 0, 1], math.nan).coeffs).all()
+
+    def test_no_kernel_call(self, cga3, monkeypatch):
+        seen = product_lengths(monkeypatch, cga3)
+        cf.rotor(cga3, [1.0, 2.0, -0.5], 0.7)
+        cf.translator(cga3, [1.0, -2.0, 3.0])
+        assert seen == []
+
+    def test_refusals_are_unchanged(self, cga3, pga3):
+        with pytest.raises(GeometryError, match="nonzero"):
+            cf.rotor(cga3, [0.0, -0.0, 0.0], 1.0)
+        with pytest.raises(GeometryError, match="expected 3 coordinates"):
+            cf.rotor(cga3, [1.0, 2.0], 1.0)
+        with pytest.raises(GeometryError, match="expected 3 coordinates"):
+            cf.translator(cga3, [1.0, 2.0, 3.0, 4.0])
+        for f, args in ((cf.rotor, ([0, 0, 1], 1.0)), (cf.translator, ([0, 0, 1],))):
+            with pytest.raises(GeometryError, match="conformal"):
+                f(pga3, *args)
+
+
+class TestFlatRepWedges:
+    """flat_rep's wedges on restricted pairs give the full-pair bytes."""
+
+    def test_points_lines_and_planes(self, pga3, rng):
+        flats = []
+        for _ in range(1000):
+            a, b, c = (rng.uniform(-50, 50, 3) * 10.0 ** rng.uniform(-3, 1)
+                       for _ in range(3))
+            pa, pb = euclid.point(pga3, *a), euclid.point(pga3, *b)
+            line = euclid.line_from_points(pa, pb)
+            flats += [pa, pa * -2.5, line, line * 3.0, join(line, euclid.point(pga3, *c)),
+                      euclid.plane(pga3, *rng.uniform(-5, 5, 4))]
+        flats += [euclid.point(pga3, 0.0, -0.0, 0.0), euclid.plane(pga3, 0, 1, 0, 0),
+                  euclid.plane(pga3, 0, -0.0, 2, 0)]
+        for x in flats:
+            assert outcome(cf.flat_rep, x) == outcome(composed_flat_rep, x), x
+
+    def test_no_full_wedge(self, pga3, cga3, monkeypatch):
+        line = euclid.line_from_points(euclid.point(pga3, 1, 2, 3),
+                                       euclid.point(pga3, -1, 0, 2))
+        flats = [euclid.point(pga3, 1, 2, 3), line,
+                 euclid.plane(pga3, 1, 1, 1, -3)]
+        seen = product_lengths(monkeypatch, cga3)
+        for x in flats:
+            cf.flat_rep(x)
+        assert len(seen) == 1 + 2 + 3
+        assert max(seen) < len(cga3.pairs["outer"][0])
+
+
 class TestDimensionAudit:
     def test_bivector_and_even_counts(self, cga3, pga3):
         assert len(cga3.basis_blades(2)) == 10
@@ -370,7 +508,11 @@ class TestDimensionAudit:
 
 
 class TestCachedInfinity:
-    """infinity_pairing, translator and flat_rep share one read-only n_inf."""
+    """infinity_pairing and flat_rep's last wedge read one read-only n_inf
+    (translator writes its slots without it), and flat_rep a read-only
+    plane-based origin.  Slot writes: up, n_origin, euclidean_vector,
+    rotor and translator.  Restricted pairs: infinity_pairing, pairings
+    (the "scalar" list) and flat_rep's wedges (a 1-vector on the right)."""
 
     def test_pairing_is_bitwise_the_scalar_product(self, cga3, rng):
         _, plus, minus = cga3.cached(cf._null_slots)
@@ -389,12 +531,14 @@ class TestCachedInfinity:
                 assert (np.float64(got).tobytes()
                         == np.float64(want).tobytes()), p.coeffs
 
-    def test_cached_table_is_read_only(self, cga3):
-        cf.translator(cga3, [1.0, 2.0, 3.0])  # fills the cache
-        table = cga3.cached(cf._n_inf_coeffs)
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 1.0
-        assert np.array_equal(table, composed_n_infinity(cga3).coeffs)
+    def test_cached_table_is_read_only(self, pga3, cga3):
+        cf.flat_rep(euclid.line_from_points(  # fills both caches
+            euclid.point(pga3, 1, 2, 3), euclid.point(pga3, 0, 1, 0)))
+        for table, want in ((cga3.cached(cf._n_inf_coeffs), composed_n_infinity(cga3)),
+                            (pga3.cached(cf._origin_coeffs), euclid.origin(pga3))):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+            assert np.array_equal(table, want.coeffs)
 
     def test_n_infinity_is_fresh_and_writable(self, cga3):
         first, second = cf.n_infinity(cga3), cf.n_infinity(cga3)

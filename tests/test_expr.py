@@ -235,6 +235,34 @@ class TestEvaluation:
         with pytest.raises(EvalError, match="unbound name 'zz'"):
             evaluate(parse("zz * e1"), pga3, {})
 
+    def test_number_times_is_bitwise_gp(self, pga3, cga3, rng):
+        # a number scales the coefficients, + 0.0 clearing -0.0: the
+        # bytes gp gives, on either side, at any magnitude and sign
+        numbers = ["0", "-0.0", "5e-324", "1e-300", "2.5", "-7", "1e300"]
+        for alg in (pga3, cga3):
+            env = {"a": random_mv(alg, rng), "z": alg.from_coeffs(
+                rng.choice([0.0, -0.0], alg.size)), "h": alg.from_coeffs(
+                rng.normal(size=alg.size) * 10.0 ** rng.uniform(-300, 300, alg.size))}
+            for x in numbers:
+                c = alg.scalar(float(x))
+                for name, mv in env.items():
+                    with np.errstate(over="ignore"):  # 1e300 * 1e300
+                        cases = ((f"{x} * {name}", c.gp(mv)),
+                                 (f"{name} * {x}", mv.gp(c)))
+                    for src, want in cases:
+                        if not np.isfinite(want.coeffs).all():
+                            with pytest.raises(EvalError, match="not finite"):
+                                evaluate(parse(src), alg, env)
+                            continue
+                        got = evaluate(parse(src), alg, env)
+                        assert got.coeffs.tobytes() == want.coeffs.tobytes(), src
+
+    def test_parse_runs_no_gp(self, pga3, rng, monkeypatch):
+        mv = random_mv(pga3, rng)
+        monkeypatch.setattr(type(mv), "gp", None)  # any gp call fails
+        assert pga3.parse(str(mv)) == mv
+        assert evaluate(parse("2 * e1 * 3"), pga3, {}) == pga3.blade("e1", 6.0)
+
     def test_unknown_blade(self, pga3):
         with pytest.raises(EvalError, match="no blade 'e9'"):
             evaluate(parse("e9"), pga3, {})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from pgakit.algebra import GAError, pga
+from pgakit.algebra import GAError, Signature, build_algebra, pga
 from pgakit.duality import join
 from pgakit.euclid import (
     GeometryError,
@@ -329,6 +329,56 @@ class TestBiquaternions:
     def test_text_form(self):
         bq = Biquaternion.from_parts([1.0, -2.0, 0.0, 0.5], [0.0, 3.0, -1.5, 0.0])
         assert str(bq) == "(1.0 - 2.0i + 0.0j + 0.5k) + ε(0.0 + 3.0i - 1.5j + 0.0k)"
+
+
+class TestNonFiniteVersors:
+    """A NaN norm fails the unit checks (abs(nan - 1) > tol is False), and
+    so does a non-finite ideal slot, which the euclidean norm never reads."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("blade", ["1", "e12", "e01", "e0123"])
+    def test_non_finite_motor_is_refused(self, pga3, blade, bad):
+        g = motor_from_screw(pga3, [1, 0, 0], [0, 1, 0], 0.9, 0.4)
+        g.coeffs[pga3.pos_of_name(blade)] = bad
+        p = point(pga3, 1.0, 2.0, 3.0)
+        with pytest.raises(GeometryError) as err:
+            sandwich(g, p)
+        assert str(err.value) == "sandwich needs a normalized versor"
+        with pytest.raises(GeometryError) as err:
+            log_versor(g)
+        assert str(err.value) == "log needs a normalized versor"
+
+    @pytest.mark.parametrize("blade", ["e0", "e2"])
+    def test_nan_mirror_is_refused(self, pga3, blade):
+        mirror = pga3.blade("e1")
+        mirror.coeffs[pga3.pos_of_name(blade)] = math.nan
+        with pytest.raises(GeometryError) as err:
+            reflect(mirror, point(pga3, 1.0, 2.0, 3.0))
+        assert str(err.value) == "mirror must have unit euclidean norm"
+
+
+class TestMotorDimensions:
+    """The screw split holds up to pga(3); pga(4) has non-simple bivectors
+    such as e12 + e34, whose exp has a grade-4 part."""
+
+    def test_pga4_is_refused(self):
+        alg = build_algebra(Signature(4, 0, 1, "dual"))
+        b = alg.blade("e12") + alg.blade("e34")
+        series = power_series_exp(b)  # what exp would have to give
+        assert abs(series["e1234"]) > 0.7
+        for f, arg in ((exp_bivector, b), (screw_split, b),
+                       (log_versor, alg.scalar(1.0))):
+            with pytest.raises(GeometryError) as err:
+                f(arg)
+            assert str(err.value) == ("screw motors need a plane-based pga(n)"
+                                      " with n <= 3, not Algebra(dual 4,0,1)")
+
+    def test_pga2_and_pga3_still_split(self, pga2, pga3):
+        b = normalize(point(pga2, 1.0, -2.0)) * 0.4
+        assert log_versor(exp_bivector(b)).close_to(b, tol=1e-14)
+        line = axis_line(pga3, [1, 0, 0], [0, 1, 1])
+        b = screw_generator(line, 0.9, 0.4)
+        assert log_versor(exp_bivector(b)).close_to(b, tol=1e-14)
 
 
 def power_series_exp(b, terms=40):
