@@ -151,7 +151,7 @@ def _finite_int(token: str) -> int:
 
 def load_scene(path: str) -> Scene:
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=0) as f:  # one read: no buffer
             raw = f.read()
         # RFC 8259: JSON exchanged between systems is UTF-8
         text = raw.decode("utf-8")
