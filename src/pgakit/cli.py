@@ -149,6 +149,11 @@ def _finite_int(token: str) -> int:
     return int(token)
 
 
+# the decoder json.loads would build on every call with these hooks
+_SCENE_JSON = json.JSONDecoder(parse_float=_finite, parse_int=_finite_int,
+                               parse_constant=_finite)
+
+
 def load_scene(path: str) -> Scene:
     try:
         with open(path, "rb", buffering=0) as f:  # one read: no buffer
@@ -157,8 +162,10 @@ def load_scene(path: str) -> Scene:
         text = raw.decode("utf-8")
         if "\r" in text:  # the newlines a text-mode read translates
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        doc = json.loads(text, parse_float=_finite, parse_int=_finite_int,
-                         parse_constant=_finite)
+        if text.startswith("\ufeff"):  # json.loads' own check and text
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _SCENE_JSON.decode(text)
     except OSError as e:
         raise SceneError(f"cannot read scene: {e}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as e:

@@ -29,12 +29,13 @@ def write_scene(tmp_path, doc, name="scene.json"):
 
 
 # scene files json.load cannot read: malformed, not UTF-8 (RFC 8259 JSON
-# is UTF-8), and nested deeper than its parser recurses
+# is UTF-8), nested deeper than its parser recurses, or behind a BOM
 BAD_JSON = {
     "not-json": b"{not json",
     "not-utf8": b"\xff\xfe{}",
     "utf16": '{"algebra": {}}'.encode("utf-16"),
     "deep-array": b"[" * 100_000 + b"]" * 100_000,
+    "utf8-bom": b"\xef\xbb\xbf{}",
 }
 # and what eval prints for each, as a text-mode read of the file gave it
 _NOT_UTF8 = ("error: scene is not valid JSON: 'utf-8' codec can't decode"
@@ -46,6 +47,8 @@ BAD_JSON_TEXT = {
     "utf16": _NOT_UTF8,
     "deep-array": "error: scene is not valid JSON:"
                   " arrays and objects nest too deeply\n",
+    "utf8-bom": "error: scene is not valid JSON: Unexpected UTF-8 BOM (decode"
+                " using utf-8-sig): line 1 column 1 (char 0)\n",
 }
 
 
