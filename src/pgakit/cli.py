@@ -3,10 +3,12 @@
 Exit codes are a stable contract: 0 success, 1 domain error (geometry,
 expression, divergence), 2 usage error (flags, malformed scene files).
 
-A scene is a JSON file.  ``algebra`` picks the model, ``entities`` binds
-names the expression language can see, and ``dynamics`` configures a
-rigid-body run.  Each field, its JSON type and its default (a field with
-no default is required):
+A scene is a JSON file in UTF-8 (RFC 8259).  ``load_scene`` reads its
+bytes once; CR and CRLF line ends read as LF, as text mode reads them,
+so error positions count lines the same way.  ``algebra`` picks the
+model, ``entities`` binds names the expression language can see, and
+``dynamics`` configures a rigid-body run.  Each field, its JSON type and
+its default (a field with no default is required):
 
     algebra               object     {"model": "pga", "n": 3}
       model               string     "pga" ("pga" or "cga")

@@ -373,13 +373,6 @@ class TestMotorDimensions:
             assert str(err.value) == ("screw motors need a plane-based pga(n)"
                                       " with n <= 3, not Algebra(dual 4,0,1)")
 
-    def test_pga2_and_pga3_still_split(self, pga2, pga3):
-        b = normalize(point(pga2, 1.0, -2.0)) * 0.4
-        assert log_versor(exp_bivector(b)).close_to(b, tol=1e-14)
-        line = axis_line(pga3, [1, 0, 0], [0, 1, 1])
-        b = screw_generator(line, 0.9, 0.4)
-        assert log_versor(exp_bivector(b)).close_to(b, tol=1e-14)
-
 
 def power_series_exp(b, terms=40):
     """sum_{k < terms} b^k / k!, from gp alone."""
