@@ -34,9 +34,9 @@ writable copy.
 
 The versors are slot writes too.  ``rotor``'s plane e012 u and
 ``translator``'s t n_inf each have one nonzero term per slot, so both
-write 0.0 - (sign * value) * factor onto the slots of one cached table
-(``_rotor_slots``, ``_translator_slots``), whose (slot, sign) pairs are
-read off ``alg.pairs["gp"]``: the composed cos - plane sin and
+write 0.0 - (sign * value) * factor onto the slots of a cached table
+(``_rotor_slots``, ``_translator_slots``) of (slot, sign) pairs read off
+``alg.pairs["gp"]``: the composed cos - plane sin and
 1 - t n_inf / 2 to the byte, +0.0 in every other slot, and no kernel
 call (a non-finite axis or offset stays non-finite, with NaNs on fewer
 slots).  ``flat_rep`` runs its wedges on restricted pairs: ``outer``'s
