@@ -27,16 +27,15 @@ Only ±0.0 terms are dropped, so states, CSV rows and the step at which a
 run diverges are bitwise those of whole-multivector products, down to
 the residue the pose and momentum keep in their scalar and pseudoscalar.
 
-``write_trajectory`` writes the initial state's row with ``csv_row``,
-then steps with ``rk4_step`` and keeps the states of BLOCK_ROWS steps
-in one array.  Per block it checks every state for finiteness once,
-computes the energies and the space momenta of all rows (the kernel on
-stacked operands, each row bitwise its own product), formats the block
-with one ``%`` and writes it with one call.  ``csv_row``, ``energy`` and
-``spatial_momentum`` are the one-row cases of the same code, so the
-written bytes are those of ``csv_row`` for each state ``integrate``
-would show its observer, and a run that diverges writes the same rows
-and raises the same error.
+``integrate`` and ``write_trajectory`` share one stepping loop.  It keeps
+BLOCK_ROWS states with their rows in one array, checks each block for
+finiteness once and hands on the finite prefix: ``integrate`` shows it
+to its observer, ``write_trajectory`` computes its energies and space
+momenta on stacked operands (each row bitwise its own product), formats
+it with one ``%`` and writes it with one call.  ``csv_row``, ``energy``
+and ``spatial_momentum`` are the one-row cases of the same code, so the
+bytes written are ``csv_row``'s for each state the observer sees, and a
+run that diverges writes the same rows and raises the same error.
 """
 
 from __future__ import annotations
@@ -249,24 +248,44 @@ def _check_run(state: BodyState, h: float, steps: int) -> None:
         raise GeometryError("need a positive finite step size and steps >= 0")
 
 
+def _blocks(state: BodyState, inertia: InertiaOperator, h: float,
+            steps: int, renormalize: bool):
+    """The one stepping loop: yields (first step, states, their [pose,
+    momentum] rows) for the finite prefix of each block of BLOCK_ROWS
+    ``rk4_step`` states, and raises at the first state that is not
+    finite.  The rows array is reused: read it before the next block."""
+    ys = np.empty((BLOCK_ROWS, 2 * state.pose.algebra.size))
+    for first in range(1, steps + 1, BLOCK_ROWS):
+        states = []
+        for j in range(min(BLOCK_ROWS, steps + 1 - first)):
+            state = rk4_step(state, inertia, h, renormalize)
+            ys[j] = state._coeffs
+            states.append(state)
+        finite = np.isfinite(ys[:len(states)]).all(axis=1)
+        stop = len(states) if finite.all() else int(finite.argmin())
+        if stop:
+            yield first, states[:stop], ys[:stop]
+        if stop < len(states):
+            raise GeometryError(f"integration diverged at step {first + stop}")
+
+
 def integrate(state: BodyState, inertia: InertiaOperator, h: float,
               steps: int, renormalize: bool = True,
               observer: Callable[[int, float, BodyState], None] | None = None,
               ) -> BodyState:
-    """Fixed-step fourth-order run; the observer sees every state
-    including the initial one."""
+    """Fixed-step fourth-order run.  The observer sees the initial state,
+    then each stepped state once its block has passed the finite check."""
     _check_run(state, h, steps)
     # overflow, and renormalising a pose of zero norm, on the way to the
     # finite check are reported as divergence, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if observer is not None:
             observer(0, 0.0, state)
-        for i in range(1, steps + 1):
-            state = rk4_step(state, inertia, h, renormalize)
-            if not np.isfinite(state._coeffs).all():
-                raise GeometryError(f"integration diverged at step {i}")
+        for first, states, _ in _blocks(state, inertia, h, steps, renormalize):
+            state = states[-1]
             if observer is not None:
-                observer(i, i * h, state)
+                for i, s in enumerate(states, first):
+                    observer(i, i * h, s)
     return state
 
 
@@ -298,41 +317,22 @@ def csv_row(t: float, state: BodyState, inertia: InertiaOperator) -> str:
 def write_trajectory(out: TextIO, state: BodyState, inertia: InertiaOperator,
                      h: float, steps: int, renormalize: bool = True) -> BodyState:
     """The CSV header, then ``csv_row`` of every state ``integrate`` would
-    show its observer: the initial one through ``csv_row`` itself, the
-    states ``rk4_step`` makes BLOCK_ROWS at a time.  A run that diverges
-    writes the rows before the state or row it fails on and raises as
-    ``integrate`` would, with ``: the row is not finite`` when a finite
-    state has a non-finite row."""
+    show its observer: the initial one through ``csv_row`` itself, each
+    block of stepped states formatted with one ``_csv_rows``.  A run that
+    diverges writes the rows before the state or row it fails on and
+    raises as ``integrate`` would, with ``: the row is not finite`` when
+    a finite state has a non-finite row."""
     out.write(CSV_HEADER + "\n")
     _check_run(state, h, steps)
     alg = state.pose.algebra
-    block = np.empty((BLOCK_ROWS, 2 * alg.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the initial state is checked only through its row, as in integrate
         _write_rows(out, 0, csv_row(0.0, state, inertia) + "\n")
-        rows = 0
-        for i in range(1, steps + 1):
-            state = rk4_step(state, inertia, h, renormalize)
-            block[rows] = state._coeffs
-            rows += 1
-            if rows == BLOCK_ROWS or i == steps:
-                _write_block(out, alg, i + 1 - rows, block[:rows], inertia, h)
-                rows = 0
+        for first, states, ys in _blocks(state, inertia, h, steps, renormalize):
+            state = states[-1]
+            _write_rows(out, first, _csv_rows(
+                alg, np.arange(first, first + len(ys)) * h, ys, inertia))
     return state
-
-
-def _write_block(out: TextIO, alg: Algebra, first: int, ys: np.ndarray,
-                 inertia: InertiaOperator, h: float) -> None:
-    """Write the rows of the states of steps first, first + 1, ... up to
-    the first state that is not finite, and raise there; states after a
-    failing one are dropped."""
-    finite = np.isfinite(ys).all(axis=1)
-    stop = len(ys) if finite.all() else int(finite.argmin())
-    if stop:
-        _write_rows(out, first, _csv_rows(
-            alg, np.arange(first, first + stop) * h, ys[:stop], inertia))
-    if stop < len(ys):
-        raise GeometryError(f"integration diverged at step {first + stop}")
 
 
 def _write_rows(out: TextIO, first: int, text: str) -> None:

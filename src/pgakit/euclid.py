@@ -185,10 +185,16 @@ def distance(p: Multivector, q: Multivector) -> float:
     """
     p._peer(q)
     n = p.algebra.require("pga")
-    _check_point(p, n, "p")
-    _check_point(q, n, "q")
-    via_join = euclidean_norm(join(p, q))
-    via_gp = ideal_norm(p.gp(q).grade(2))
+    # a non-finite coordinate, or a square past the float range, shows as
+    # a non-finite route and is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_point(p, n, "p")
+        _check_point(q, n, "q")
+        via_join = euclidean_norm(join(p, q))
+        via_gp = ideal_norm(p.gp(q).grade(2))
+    if not (math.isfinite(via_join) and math.isfinite(via_gp)):
+        raise GeometryError("distance is not finite: a coordinate is not"
+                            " finite, or the points are too far apart")
     if abs(via_join - via_gp) > CROSS_CHECK_TOL * max(1.0, via_join):
         raise GAError(
             f"distance routes disagree: join={via_join!r} gp={via_gp!r}"
@@ -202,6 +208,8 @@ def angle(u: Multivector, v: Multivector) -> float:
     for name, x in (("u", u), ("v", v)):
         if significant_grades(x) != (1,):
             raise GeometryError(f"{name} is not a 1-vector")
+        if not np.isfinite(x.coeffs).all():
+            raise GeometryError(f"{name} is not finite")
         if abs(euclidean_norm(x) - 1.0) > NORMALIZED_TOL:
             raise GeometryError(f"{name} must have unit euclidean norm")
     c = u.scalar_product(v)

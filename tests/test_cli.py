@@ -607,6 +607,24 @@ class TestSimulate:
         assert captured.out == ""
         assert re.fullmatch(r"error: 'pose': [^\n]+\n", captured.err)
 
+    @pytest.mark.parametrize("axis", [[1e200, 0, 0], [1e-200, 0, 0]],
+                             ids=["huge", "tiny"])
+    def test_pose_axis_past_the_float_range(self, tmp_path, capsys, axis):
+        """u.u of these axes overflows or underflows; the run is the one
+        the unit axis gives, byte for byte."""
+        runs = []
+        for u in (axis, [1, 0, 0]):
+            path = write_scene(tmp_path, {"dynamics": {
+                "inertia": {"moments": [1, 2, 3], "mass": 2},
+                "pose": {"center": [1, -0.5, 0.25], "axis": u,
+                         "angle": 0.9, "displacement": 0.4},
+                "momentum": {"angular": [12, 10, -8], "linear": [1, -2, 0.5]},
+                "steps": 300}})
+            runs.append((main(["simulate", "--scene", path]),
+                         capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].err == ""
+
     @pytest.mark.parametrize("unbuffered", [None, "1"],
                              ids=["buffered", "unbuffered"])
     def test_closed_pipe_exits_without_traceback(self, unbuffered):

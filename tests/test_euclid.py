@@ -195,6 +195,33 @@ class TestDistance:
             distance(pl, point(pga3, 0.0, 0.0, 0.0))
 
 
+class TestNonFiniteDistance:
+    """A NaN coordinate, or points whose squared distance overflows, give
+    an error with no warning (warnings are errors in this suite), never
+    a NaN or inf distance."""
+
+    @pytest.mark.parametrize("a, b", [
+        ((0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)),
+        ((0.0, math.nan, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, math.inf)),
+        ((1e154, 0.0, 0.0), (-1e154, 0.0, 0.0)),
+        ((1e154, 1e154, 1e154), (-1e154, -1e154, -1e154)),
+    ], ids=["nan-q", "nan-p", "inf", "far-axis", "far-diagonal"])
+    def test_refused(self, pga3, a, b):
+        with pytest.raises(GeometryError):
+            distance(point(pga3, *a), point(pga3, *b))
+
+    def test_refused_in_pga2(self, pga2):
+        with pytest.raises(GeometryError):
+            distance(point(pga2, 0.0, 0.0), point(pga2, math.nan, 1.0))
+        with pytest.raises(GeometryError):
+            distance(point(pga2, 1e154, 0.0), point(pga2, -1e154, 0.0))
+
+    def test_far_finite_points_keep_their_distance(self, pga3):
+        p, q = point(pga3, 1e153, 0.0, 0.0), point(pga3, -1e153, 0.0, 0.0)
+        assert distance(p, q) == 2e153
+
+
 class TestAngle:
     def test_right_angle(self, pga3):
         a = normalize(plane(pga3, 1.0, 0.0, 0.0, 2.0))
@@ -218,6 +245,18 @@ class TestAngle:
     def test_requires_unit_norm(self, pga3):
         with pytest.raises(GeometryError):
             angle(plane(pga3, 2.0, 0.0, 0.0, 0.0), plane(pga3, 0.0, 1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("coeffs", [
+        (math.nan, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, math.nan),
+        (0.0, 0.0, 1.0, math.inf),
+    ], ids=["nan-normal", "nan-offset", "inf-offset"])
+    def test_non_finite_plane_is_refused(self, pga3, coeffs):
+        """A NaN norm passes abs(nan - 1) > tol, and max(-1.0, nan) is
+        -1.0, so a NaN plane unchecked reads as an angle of pi."""
+        good = plane(pga3, 0.0, 0.0, 1.0, 0.0)
+        for u, v in ((good, plane(pga3, *coeffs)), (plane(pga3, *coeffs), good)):
+            with pytest.raises(GeometryError):
+                angle(u, v)
 
 
 class TestLines:

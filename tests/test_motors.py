@@ -171,6 +171,37 @@ class TestScrews:
         line = axis_line(pga3, [0.0, 0.0, 0.0], [0.0, 0.0, 2.0])
         assert np.allclose(direction(line), [0.0, 0.0, 1.0], atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 5e-324],
+                             ids=["1e200", "1e-200", "1e300", "subnormal"])
+    @pytest.mark.parametrize("unit", [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    def test_axis_line_past_the_float_range(self, pga3, scale, unit):
+        """u.u leaves the float range for these finite axes; scaled by
+        their largest component they are the unit axis, bit for bit."""
+        center = [1.0, -0.5, 0.25]
+        got = axis_line(pga3, center, np.multiply(unit, scale))
+        assert got.coeffs.tobytes() == \
+            axis_line(pga3, center, unit).coeffs.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_axis_line_of_a_mixed_far_axis(self, pga3, rng, scale):
+        for _ in range(20):
+            center, u = rng.uniform(-2, 2, 3), rng.normal(size=3)
+            got = axis_line(pga3, center, u * scale)
+            assert got.close_to(axis_line(pga3, center, u), tol=1e-14)
+
+    def test_axis_line_keeps_the_plain_path(self, pga3, rng):
+        """Axes whose u.u stays in the float range are divided by
+        np.linalg.norm(u) and nothing else, so their bits do not move."""
+        for scale in (1.0, 1e-150, 1e150, 2.0 ** 505, 2.0 ** -505):
+            for _ in range(20):
+                center, u = rng.uniform(-2, 2, 3), rng.normal(size=3) * scale
+                c = np.asarray(center)
+                unit = u / float(np.linalg.norm(u))
+                want = normalize(join(point(pga3, *(c + unit)),
+                                      point(pga3, *c)))
+                assert axis_line(pga3, center, u).coeffs.tobytes() == \
+                    want.coeffs.tobytes()
+
     def test_split_parts_commute(self, pga3, rng):
         for _ in range(40):
             b = random_screw_generator(pga3, rng)
