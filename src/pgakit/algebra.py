@@ -404,7 +404,7 @@ class Multivector:
         return self._product(other, "gp")
 
     def gp_dense(self, other: "Multivector") -> "Multivector":
-        """Same product through the dense einsum kernel (bench path)."""
+        """Same product through the dense einsum kernel (check's oracle)."""
         other = self._peer(other)
         alg = self.algebra
         return Multivector(

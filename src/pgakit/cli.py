@@ -61,7 +61,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -429,32 +428,7 @@ def cmd_check(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    print(f"# geometric product throughput, {args.reps} products per row")
-    print(f"{'algebra':<8} {'coeffs':>6} {'kernel':>6} {'ops/sec':>12}")
-    for label, alg in (("pga(3)", pga(3)), ("cga(3)", cga(3))):
-        a = alg.from_coeffs(rng.uniform(-1, 1, alg.size))
-        b = alg.from_coeffs(rng.uniform(-1, 1, alg.size))
-        for kernel, op in (("sparse", a.gp), ("dense", a.gp_dense)):
-            op(b)  # warm any cached tables before timing
-            t0 = time.perf_counter()
-            for _ in range(args.reps):
-                op(b)
-            dt = time.perf_counter() - t0
-            print(f"{label:<8} {alg.size:>6} {kernel:>6}"
-                  f" {args.reps / dt:>12.0f}")
-    return 0
-
-
 # -- argument plumbing ---------------------------------------------------------
-
-
-def _reps(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("rep count must be at least 1")
-    return value
 
 
 def _seed(text: str) -> int:
@@ -500,11 +474,6 @@ def build_parsers() -> tuple[argparse.ArgumentParser,
     check = sub.add_parser("check", help="run the invariant suites")
     check.add_argument("--seed", type=_seed, default=0)
     check.set_defaults(func=cmd_check)
-
-    bench = sub.add_parser("bench", help="time the product kernels")
-    bench.add_argument("--seed", type=_seed, default=0)
-    bench.add_argument("--reps", type=_reps, default=20000)
-    bench.set_defaults(func=cmd_bench)
     return parser, sub.choices
 
 

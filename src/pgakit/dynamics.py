@@ -16,26 +16,27 @@ mass on the ideal slots.  Which slot carries which unit motion, and with
 which sign, is read off the joined axis lines in ``_generator_basis``
 alone; no orientation signs are hard-coded here.
 
-The integrator works on one array of [pose, momentum] coefficients,
-which a ``BodyState`` packs once (refusing an odd-grade part) and each
-step's state carries; ``rk4_step`` builds its four stages in one reused
-[stage, velocity] buffer.  The products run on the algebra's one kernel
-with its ``gp`` pairs restricted to the slots they can touch: even ×
-bivector for the rates, fused into one call, and even × even for the
-space momentum.
+The integrator is one RK4 stepper on the [pose, momentum] coefficient
+array, built once per run; it builds each step's four stages in one
+reused [stage, velocity] buffer, and ``rk4_step`` is one step of it.  A
+``BodyState`` packs its array once, refusing an odd-grade part.  The
+products run on the algebra's one kernel with its ``gp`` pairs
+restricted to the slots they can touch: even × bivector for the rates,
+fused into one call, and even × even for the space momentum.
 Only ±0.0 terms are dropped, so states, CSV rows and the step at which a
 run diverges are bitwise those of whole-multivector products, down to
 the residue the pose and momentum keep in their scalar and pseudoscalar.
 
-``integrate`` and ``write_trajectory`` share one stepping loop.  It keeps
-BLOCK_ROWS states with their rows in one array, checks each block for
-finiteness once and hands on the finite prefix: ``integrate`` shows it
-to its observer, ``write_trajectory`` computes its energies and space
-momenta on stacked operands (each row bitwise its own product), formats
-it with one ``%`` and writes it with one call.  ``csv_row``, ``energy``
-and ``spatial_momentum`` are the one-row cases of the same code, so the
-bytes written are ``csv_row``'s for each state the observer sees, and a
-run that diverges writes the same rows and raises the same error.
+``integrate`` and ``write_trajectory`` share one stepping loop.  It steps
+BLOCK_ROWS arrays into one rows array, checks each block for finiteness
+once and hands on the finite prefix.  States are built per block, and
+per step only for ``integrate``'s observer.  ``write_trajectory``
+computes the energies and space momenta on stacked operands (each row
+bitwise its own product), formats the rows with one ``%`` and writes
+them with one call.  ``csv_row``, ``energy`` and ``spatial_momentum``
+are the one-row cases of the same code, so the bytes written are
+``csv_row``'s for each state the observer sees, and a run that diverges
+writes the same rows and raises the same error.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ class BodyState:
     def _coeffs(self) -> np.ndarray:
         """[pose, momentum] coefficients in one array, built and checked on
         first use: the restricted products drop odd slots, so an odd-grade
-        part (NaN counts) is refused, not silently changed.  rk4_step
-        hands the states it makes their array directly."""
+        part (NaN counts) is refused, not silently changed.  ``_state``
+        hands the states the stepper makes their array directly."""
         for mv in (self.pose, self.momentum):
             mv.algebra.require("pga", 3)
         y = np.concatenate((self.pose.coeffs, self.momentum.coeffs))
@@ -201,9 +202,9 @@ def _spatial_momenta(alg: Algebra, ys: np.ndarray) -> np.ndarray:
                        g * alg.reverse_sign)
 
 
-def rk4_step(state: BodyState, inertia: InertiaOperator, h: float,
-             renormalize: bool = True) -> BodyState:
-    alg, y = state.pose.algebra, state._coeffs
+def _stepper(alg: Algebra, inertia: InertiaOperator, renormalize: bool):
+    """RK4 on [pose, momentum] arrays: ``step(y, h)`` returns a fresh next
+    array, built through one [stage, velocity] buffer kept across calls."""
     (rates, vel, _), n = alg.cached(_tables), alg.size
     x = np.empty(2 * n + len(inertia._diag))  # [stage, its velocity]
     stage, v = x[:2 * n], x[2 * n:]
@@ -217,29 +218,46 @@ def rk4_step(state: BodyState, inertia: InertiaOperator, h: float,
         k *= 0.5
         return k
 
-    stage[:] = y
-    k1 = f()
-    np.add(y, np.multiply(k1, h / 2, out=stage), out=stage)
-    k2 = f()
-    np.add(y, np.multiply(k2, h / 2, out=stage), out=stage)
-    k3 = f()
-    np.add(y, np.multiply(k3, h, out=stage), out=stage)
-    k4 = f()
-    # y + (k1 + k2 * 2 + k3 * 2 + k4) * (h / 6), summed in that order
-    k2 *= 2
-    k3 *= 2
-    k1 += k2
-    k1 += k3
-    k1 += k4
-    k1 *= h / 6
-    y1 = y + k1
-    if renormalize:
-        # no null-versor check: a zero norm gives non-finite
-        # coefficients, which integrate reports as divergence
-        y1[:n] /= euclidean_norm_of(alg, y1[:n])
-    out = BodyState(Multivector(alg, y1[:n]), Multivector(alg, y1[n:]))
-    object.__setattr__(out, "_coeffs", y1)  # even by construction
+    def step(y: np.ndarray, h: float) -> np.ndarray:
+        stage[:] = y
+        k1 = f()
+        np.add(y, np.multiply(k1, h / 2, out=stage), out=stage)
+        k2 = f()
+        np.add(y, np.multiply(k2, h / 2, out=stage), out=stage)
+        k3 = f()
+        np.add(y, np.multiply(k3, h, out=stage), out=stage)
+        k4 = f()
+        # y + (k1 + k2 * 2 + k3 * 2 + k4) * (h / 6), summed in that order
+        k2 *= 2
+        k3 *= 2
+        k1 += k2
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6
+        y1 = y + k1
+        if renormalize:
+            # no null-versor check: a zero norm gives non-finite
+            # coefficients, which integrate reports as divergence
+            y1[:n] /= euclidean_norm_of(alg, y1[:n])
+        return y1
+
+    return step
+
+
+def _state(alg: Algebra, y: np.ndarray) -> BodyState:
+    """The state of a [pose, momentum] array the stepper made, which is
+    even by construction: it is handed its array, not checked."""
+    n = alg.size
+    out = BodyState(Multivector(alg, y[:n]), Multivector(alg, y[n:]))
+    object.__setattr__(out, "_coeffs", y)
     return out
+
+
+def rk4_step(state: BodyState, inertia: InertiaOperator, h: float,
+             renormalize: bool = True) -> BodyState:
+    """One step of the stepper that ``integrate`` runs."""
+    alg, y = state.pose.algebra, state._coeffs
+    return _state(alg, _stepper(alg, inertia, renormalize)(y, h))
 
 
 def _check_run(state: BodyState, h: float, steps: int) -> None:
@@ -250,22 +268,23 @@ def _check_run(state: BodyState, h: float, steps: int) -> None:
 
 def _blocks(state: BodyState, inertia: InertiaOperator, h: float,
             steps: int, renormalize: bool):
-    """The one stepping loop: yields (first step, states, their [pose,
-    momentum] rows) for the finite prefix of each block of BLOCK_ROWS
-    ``rk4_step`` states, and raises at the first state that is not
-    finite.  The rows array is reused: read it before the next block."""
-    ys = np.empty((BLOCK_ROWS, 2 * state.pose.algebra.size))
+    """The one stepping loop: yields (first step, [pose, momentum] rows)
+    for the finite prefix of each block of BLOCK_ROWS stepped arrays, and
+    raises at the first row that is not finite.  The rows array is
+    reused: read it before the next block."""
+    alg = state.pose.algebra
+    step = _stepper(alg, inertia, renormalize)
+    ys = np.empty((BLOCK_ROWS, 2 * alg.size))
+    y = state._coeffs if steps else None  # a run of no steps checks nothing
     for first in range(1, steps + 1, BLOCK_ROWS):
-        states = []
-        for j in range(min(BLOCK_ROWS, steps + 1 - first)):
-            state = rk4_step(state, inertia, h, renormalize)
-            ys[j] = state._coeffs
-            states.append(state)
-        finite = np.isfinite(ys[:len(states)]).all(axis=1)
-        stop = len(states) if finite.all() else int(finite.argmin())
+        count = min(BLOCK_ROWS, steps + 1 - first)
+        for j in range(count):
+            ys[j] = y = step(y, h)
+        finite = np.isfinite(ys[:count]).all(axis=1)
+        stop = count if finite.all() else int(finite.argmin())
         if stop:
-            yield first, states[:stop], ys[:stop]
-        if stop < len(states):
+            yield first, ys[:stop]
+        if stop < count:
             raise GeometryError(f"integration diverged at step {first + stop}")
 
 
@@ -276,16 +295,18 @@ def integrate(state: BodyState, inertia: InertiaOperator, h: float,
     """Fixed-step fourth-order run.  The observer sees the initial state,
     then each stepped state once its block has passed the finite check."""
     _check_run(state, h, steps)
+    alg = state.pose.algebra
     # overflow, and renormalising a pose of zero norm, on the way to the
     # finite check are reported as divergence, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if observer is not None:
             observer(0, 0.0, state)
-        for first, states, _ in _blocks(state, inertia, h, steps, renormalize):
-            state = states[-1]
+        for first, ys in _blocks(state, inertia, h, steps, renormalize):
             if observer is not None:
-                for i, s in enumerate(states, first):
-                    observer(i, i * h, s)
+                # a copy: the next block overwrites the rows
+                for i, y in enumerate(ys.copy(), first):
+                    observer(i, i * h, _state(alg, y))
+            state = _state(alg, ys[-1].copy())
     return state
 
 
@@ -328,8 +349,8 @@ def write_trajectory(out: TextIO, state: BodyState, inertia: InertiaOperator,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the initial state is checked only through its row, as in integrate
         _write_rows(out, 0, csv_row(0.0, state, inertia) + "\n")
-        for first, states, ys in _blocks(state, inertia, h, steps, renormalize):
-            state = states[-1]
+        for first, ys in _blocks(state, inertia, h, steps, renormalize):
+            state = _state(alg, ys[-1].copy())
             _write_rows(out, first, _csv_rows(
                 alg, np.arange(first, first + len(ys)) * h, ys, inertia))
     return state

@@ -175,10 +175,15 @@ def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
 def axis_line(alg: Algebra, center, axis) -> Multivector:
     """Unit line through center, oriented so exp(t*L) screws along +axis."""
     u = np.asarray(axis, dtype=float)
+    # checked before any arithmetic on u, which would warn first: u / inf
+    # and u.u of an inf beside a large finite component
+    components = u.ravel().tolist()
+    if not all(map(math.isfinite, components)):
+        raise GeometryError("axis direction must be finite")
     # an axis whose u.u would overflow or lose digits to underflow is first
     # scaled by its largest component; every other axis takes the plain path
-    big = max(map(abs, u.ravel().tolist()), default=0.0)
-    if 2.0 ** 510 < big < math.inf or 0.0 < big < 2.0 ** -510:
+    big = max(map(abs, components), default=0.0)
+    if 2.0 ** 510 < big or 0.0 < big < 2.0 ** -510:
         u = u / big
     nu = float(np.linalg.norm(u))
     if nu == 0.0:

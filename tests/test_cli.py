@@ -677,23 +677,9 @@ class TestCheckAndBench:
                      "conformal", "dsl"):
             assert f"ok {name}" in out
 
-    def test_bench_table_shape(self, capsys):
-        assert main(["bench", "--reps", "50"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        rows = [l.split() for l in lines[2:]]
-        assert [r[:3] for r in rows] == [
-            ["pga(3)", "16", "sparse"], ["pga(3)", "16", "dense"],
-            ["cga(3)", "32", "sparse"], ["cga(3)", "32", "dense"]]
-        assert all(float(r[3]) > 0 for r in rows)
-
     def test_seed_range(self):
         with pytest.raises(SystemExit) as err:
             main(["check", "--seed", "-1"])
-        assert err.value.code == 2
-
-    def test_rep_count_floor(self):
-        with pytest.raises(SystemExit) as err:
-            main(["bench", "--reps", "0"])
         assert err.value.code == 2
 
 
@@ -709,7 +695,7 @@ class TestUsage:
         assert err.value.code == 2
 
 
-TOP_USAGE = "usage: pgakit [-h] {construct,simulate,eval,check,bench} ...\n"
+TOP_USAGE = "usage: pgakit [-h] {construct,simulate,eval,check} ...\n"
 EVAL_USAGE = "usage: pgakit eval [-h] [--scene SCENE] expression\n"
 CONSTRUCT_USAGE = "usage: pgakit construct [-h] --scene SCENE [expression]\n"
 EVAL_E1 = "# algebra pga(3): '^' is meet, '&' is join\n-1.0*e1\n"
@@ -723,12 +709,11 @@ plane-based geometric algebra: constructions, rigid-body runs, invariant
 checks
 
 positional arguments:
-  {construct,simulate,eval,check,bench}
+  {construct,simulate,eval,check}
     construct           evaluate a construction against a scene
     simulate            integrate the scene's rigid body, CSV out
     eval                evaluate one expression
     check               run the invariant suites
-    bench               time the product kernels
 
 options:
   -h, --help            show this help message and exit

@@ -6,7 +6,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.spatial.transform import Rotation
 
+from pgakit.algebra import Multivector
 from pgakit.dynamics import (
+    BLOCK_ROWS,
     CSV_HEADER,
     BodyState,
     InertiaOperator,
@@ -381,6 +383,56 @@ class TestEvenState:
             return len(checks)
 
         assert count(100) == count(1) > 0
+
+
+class TestArrayStepping:
+    """The loop steps raw [pose, momentum] arrays into one reused rows
+    array: states are built once per block, and per step only for
+    integrate's observer, which keeps what it was shown."""
+
+    @pytest.mark.parametrize("run", [
+        lambda state, inertia: integrate(state, inertia, 1e-3, 1000),
+        lambda state, inertia: write_trajectory(io.StringIO(), state,
+                                                inertia, 1e-3, 1000),
+    ], ids=["integrate", "write_trajectory"])
+    def test_no_multivector_per_step(self, pga3, run, monkeypatch):
+        inertia = InertiaOperator((1.0, 2.0, 3.0), 1.0)
+        state = rest_state(pga3, [0.5, -0.4, 0.3], [0.2, 0.1, 0.0], inertia)
+        built = []
+        init = Multivector.__init__
+
+        def counting_init(mv, algebra, coeffs):
+            built.append(mv)
+            init(mv, algebra, coeffs)
+
+        monkeypatch.setattr(Multivector, "__init__", counting_init)
+        run(state, inertia)
+        assert len(built) <= 2 * math.ceil(1000 / BLOCK_ROWS)
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_observed_states_outlive_their_block(self, pga3, renormalize):
+        """600 steps span three blocks; every state shown keeps the bytes
+        it had when shown, which are those of a chain of rk4_step calls."""
+        inertia = InertiaOperator((1.0, 2.0, 3.0), 2.0)
+        state = rest_state(pga3, [12, 10, -8], [1, -2, 0.5], inertia)
+
+        def data(s):
+            return (s.pose.coeffs.tobytes(), s.momentum.coeffs.tobytes(),
+                    spatial_momentum(s).coeffs.tobytes())
+
+        kept, shown = [], []
+
+        def observe(i, t, s):
+            kept.append(s)
+            shown.append(data(s))
+
+        integrate(state, inertia, 1e-3, 600, renormalize, observer=observe)
+        chain = [state]
+        for _ in range(600):
+            chain.append(rk4_step(chain[-1], inertia, 1e-3, renormalize))
+        assert len(kept) == len(chain) == 601
+        for s, when_shown, link in zip(kept, shown, chain):
+            assert data(s) == when_shown == data(link)
 
 
 class TestTrajectoryOutput:

@@ -182,6 +182,20 @@ class TestScrews:
         assert got.coeffs.tobytes() == \
             axis_line(pga3, center, unit).coeffs.tobytes()
 
+    @pytest.mark.parametrize("other", [1.0, 1e300])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_axis_line_refuses_a_non_finite_axis(self, pga3, bad, index,
+                                                 other):
+        """Refused before any arithmetic on the axis, so with no numpy
+        warning (an error here): u / inf, or u.u of an inf beside 1e300."""
+        u = [other] * 3
+        u[index] = bad
+        with pytest.raises(GeometryError,
+                           match="^axis direction must be finite$"):
+            axis_line(pga3, [0.0, 0.0, 0.0], u)
+
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_axis_line_of_a_mixed_far_axis(self, pga3, rng, scale):
         for _ in range(20):
