@@ -317,6 +317,16 @@ def restrict(pairs, left, right) -> tuple[np.ndarray, ...]:
     return tuple(p[keep] for p in pairs)
 
 
+def norm_of(c: np.ndarray) -> float:
+    """2-norm of the float array c: ``np.linalg.norm``'s bits (its ``dot``,
+    here ``vdot``, which does not warn) where the sum of squares is a normal
+    float, else ``math.hypot``'s scaled sum, finite wherever the norm is."""
+    sq = float(np.vdot(c, c))
+    if 2.0 ** -1022 <= sq < math.inf:  # the smallest normal float
+        return math.sqrt(sq)
+    return math.hypot(*c.ravel().tolist())
+
+
 @lru_cache(maxsize=None)
 def build_algebra(signature: Signature) -> Algebra:
     return Algebra(signature)
@@ -475,12 +485,9 @@ class Multivector:
         return float(self.coeffs[self.algebra.pos_of_name(blade_name)])
 
     def norm(self) -> float:
-        """Plain coefficient 2-norm; metric-blind, used for residual checks.
-
-        ``np.linalg.norm``'s own 1-D path (``dot``, then a correctly
-        rounded square root), so the value is bitwise that one."""
-        c = self.coeffs
-        return math.sqrt(c.dot(c))
+        """Plain coefficient 2-norm, ``norm_of(coeffs)``; metric-blind, used
+        for residual checks, and finite for every finite norm."""
+        return norm_of(self.coeffs)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.coeffs) <= tol))

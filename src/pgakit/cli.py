@@ -66,7 +66,7 @@ import numpy as np
 
 from . import conformal, dynamics, euclid, motors
 from . import expr as dsl
-from .algebra import Algebra, GAError, GeometryError, Multivector, cga, pga
+from .algebra import Algebra, GAError, GeometryError, Multivector, cga, norm_of, pga
 from .duality import j_map, join, meet, polarity
 
 DEFAULT_EXPRESSION = "((Pi | P) ^ Pi) & P"
@@ -266,8 +266,7 @@ def cmd_construct(args) -> int:
     if line is not None and euclid.flat_kind(result) == "line" \
             and euclid.flat_kind(line) == "line":
         u, v = euclid.direction(result), euclid.direction(line)
-        ortho = abs(u @ v) <= 1e-9 * max(1e-30,
-                                         np.linalg.norm(u) * np.linalg.norm(v))
+        ortho = abs(u @ v) <= 1e-9 * max(1e-30, norm_of(u) * norm_of(v))
         print("orthogonal: " + ("yes" if ortho else "no"))
     return 0
 
@@ -334,7 +333,7 @@ def _suite_flats(rng):
     for _ in range(10):
         a, b = rng.uniform(-10, 10, 3), rng.uniform(-10, 10, 3)
         got = euclid.distance(euclid.point(alg, *a), euclid.point(alg, *b))
-        assert abs(got - np.linalg.norm(a - b)) <= 1e-10 * max(
+        assert abs(got - norm_of(a - b)) <= 1e-10 * max(
             1.0, got), "distance routes disagree with coordinates"
     p = euclid.point(alg, 1.0, 2.0, 0.5)
     axis = euclid.line_from_points(euclid.point(alg, 0, 0, 0),
@@ -349,7 +348,7 @@ def _suite_motors(rng):
     alg = pga(3)
     for _ in range(20):
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
+        axis /= norm_of(axis)
         gen = motors.screw_generator(
             motors.axis_line(alg, rng.uniform(-2, 2, 3), axis),
             rng.uniform(0.05, 3.0), rng.uniform(-2, 2))

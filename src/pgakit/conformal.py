@@ -36,8 +36,8 @@ The versors are slot writes too.  ``rotor``'s plane e012 u and
 ``translator``'s t n_inf each have one nonzero term per slot, so both
 write 0.0 - (sign * value) * factor onto the slots of a cached table
 (``_rotor_slots``, ``_translator_slots``) of (slot, sign) pairs read off
-``alg.pairs["gp"]``: the composed cos - plane sin and
-1 - t n_inf / 2 to the byte, +0.0 in every other slot, and no kernel
+``alg.pairs["gp"]``: the composed cos - plane sin (u from ``norm_of``)
+and 1 - t n_inf / 2 to the byte, +0.0 in every other slot, no kernel
 call (a non-finite axis or offset stays non-finite, with NaNs on fewer
 slots).  ``flat_rep`` runs its wedges on restricted pairs: ``outer``'s
 pairs with a 1-vector on the right (``_wedge_pairs``), enough for each
@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, cga, restrict
+from .algebra import Algebra, GeometryError, Multivector, cga, norm_of, restrict
 
 NULL_TOL = 1e-12
 PAIRING_TOL = 1e-9
@@ -134,7 +134,8 @@ def infinity_pairing(p: Multivector) -> float:
 
 
 def is_null(p: Multivector, tol: float = NULL_TOL) -> bool:
-    return abs(p.scalar_product(p)) <= tol * max(1.0, p.norm() ** 2)
+    size = p.norm()  # squared as a product: ** raises OverflowError
+    return abs(p.scalar_product(p)) <= tol * max(1.0, size * size)
 
 
 def down(p: Multivector) -> np.ndarray:
@@ -149,7 +150,7 @@ def down(p: Multivector) -> np.ndarray:
         return p.coeffs[vec] / w
     with np.errstate(over="ignore"):  # refused just below
         x = p.coeffs[vec] / w
-    if abs(w) < 1.0 and np.isinf(x).any():  # only a small w overflows
+    if np.isinf(x).any():  # only a small w overflows
         raise GeometryError("point too far from the origin: x overflows")
     return x
 
@@ -212,10 +213,9 @@ def _versor(alg: Algebra, head: float, table, values,
 
 def rotor(alg: Algebra, axis, angle: float) -> Multivector:
     """Rotation versor about an axis through the origin, right-handed:
-    cos(angle/2) - e012 u sin(angle/2) for the unit axis u."""
+    cos(angle/2) - e012 u sin(angle/2), u = axis / norm_of(axis)."""
     u = np.asarray(axis, dtype=float)
-    flat = u.ravel(order="K")
-    nu = math.sqrt(flat.dot(flat))  # np.linalg.norm's own sum and root
+    nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
     alg.require("cga", 3)
@@ -282,7 +282,7 @@ def flat_rep(x: Multivector) -> Multivector:
         foot = (x | origin) ^ x
         a = euclid.point_coords(foot)
         u = euclid.direction(x)
-        u = u / math.sqrt(u.dot(u))
+        u = u / norm_of(u)
         return _span([up(out, a), up(out, a + u)])
     if kind == "plane":
         pl = euclid.normalize(x)
@@ -292,7 +292,7 @@ def flat_rep(x: Multivector) -> Multivector:
         if abs(normal[0]) > 0.9:
             seed = np.array([0.0, 1.0, 0.0])
         t1 = seed - np.dot(seed, normal) * normal
-        t1 /= math.sqrt(t1.dot(t1))
+        t1 /= norm_of(t1)
         t2 = np.cross(normal, t1)
         return _span([up(out, base), up(out, base + t1), up(out, base + t2)])
     raise GeometryError(f"no conformal representation for a {kind} input")

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, GAError, GeometryError, Multivector
+from .algebra import Algebra, GAError, GeometryError, Multivector, norm_of
 from .duality import join, meet
 
 CROSS_CHECK_TOL = 1e-12
@@ -102,8 +102,7 @@ def euclidean_norm_of(alg: Algebra, coeffs: np.ndarray) -> float:
 def ideal_norm(x: Multivector) -> float:
     """Euclidean size of the e0-carrying complement part."""
     x.algebra.require("pga")
-    part = x.coeffs[x.algebra.cached(_ideal_mask)]
-    return math.sqrt(float(part @ part))
+    return norm_of(x.coeffs[x.algebra.cached(_ideal_mask)])
 
 
 def _ideal_mask(alg: Algebra) -> np.ndarray:

@@ -271,8 +271,8 @@ def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivect
     values: list[Multivector] = []
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         for n in reversed(order):  # post-order, left operand first
-            value = _value(n, values, alg, env)
-            if not np.isfinite(value.coeffs).all():
+            value = _value(n, values, alg, env)  # a Num checks itself, a Blade is +-1
+            if not (isinstance(n, (Num, Blade)) or np.isfinite(value.coeffs).all()):
                 raise _error(n, "value is not finite")
             values.append(value)
     return values[0]
@@ -285,7 +285,9 @@ def _error(node: Node, message: str) -> EvalError:
 def _value(node: Node, values: list[Multivector], alg: Algebra,
            env: dict[str, Multivector]) -> Multivector:
     """Value of ``node`` from its operands' values, popped off ``values``."""
-    if isinstance(node, Num):
+    if isinstance(node, Num):  # finite from parse, but not if built by hand
+        if not math.isfinite(node.value):
+            raise _error(node, "value is not finite")
         return alg.scalar(node.value)
     if isinstance(node, Blade):
         try:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, GAError, GeometryError, Multivector
+from .algebra import Algebra, GAError, GeometryError, Multivector, norm_of
 from .duality import join, polarity
 from .euclid import euclidean_norm, normalize, point
 
@@ -107,8 +107,8 @@ def _split(b: Multivector, message: str):
     if not b.is_zero() and b.grades_present() != (2,):
         raise GeometryError(message)
     sq = b.gp(b)
-    s = sq.scalar_part()
-    if s > 1e-12 * max(1.0, b.norm() ** 2):
+    s, size = sq.scalar_part(), b.norm()
+    if s > 1e-12 * max(1.0, size * size):  # ** raises OverflowError
         raise GAError("bivector square has positive scalar part")
     alpha = math.sqrt(max(0.0, -s))
     if alpha < SMALL_ANGLE:
@@ -175,17 +175,10 @@ def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
 def axis_line(alg: Algebra, center, axis) -> Multivector:
     """Unit line through center, oriented so exp(t*L) screws along +axis."""
     u = np.asarray(axis, dtype=float)
-    # checked before any arithmetic on u, which would warn first: u / inf
-    # and u.u of an inf beside a large finite component
-    components = u.ravel().tolist()
-    if not all(map(math.isfinite, components)):
+    # checked before any arithmetic on u, which would warn first: inf / inf
+    if not all(map(math.isfinite, u.ravel().tolist())):
         raise GeometryError("axis direction must be finite")
-    # an axis whose u.u would overflow or lose digits to underflow is first
-    # scaled by its largest component; every other axis takes the plain path
-    big = max(map(abs, components), default=0.0)
-    if 2.0 ** 510 < big or 0.0 < big < 2.0 ** -510:
-        u = u / big
-    nu = float(np.linalg.norm(u))
+    nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
     u = u / nu

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -60,3 +61,25 @@ def random_even(alg, rng):
         if alg.grades[pos] % 2:
             c[pos] = 0.0
     return alg.from_coeffs(c)
+
+
+def plain_range(c) -> bool:
+    """Whether c's sum of squares is a normal finite float, where
+    ``np.linalg.norm`` neither overflows nor loses digits to underflow."""
+    with np.errstate(over="ignore"):
+        return bool(np.finfo(float).tiny <= c.dot(c) < math.inf)
+
+
+def rescaled(c):
+    """The finite c times the power of two 2^-k that brings its largest
+    component into [0.5, 1), and k: exact, but for components that fall
+    below the normal range, too small to count in a 2-norm."""
+    k = math.frexp(float(np.abs(c).max()))[1]
+    return np.ldexp(c, -k), k
+
+
+def rescaled_norm(c) -> float:
+    """``np.linalg.norm`` of the finite c, taken on ``rescaled(c)``, where
+    no square overflows, and scaled back."""
+    scaled, k = rescaled(c)
+    return math.ldexp(float(np.linalg.norm(scaled)), k)

@@ -11,7 +11,7 @@ from pgakit import duality as du
 from pgakit.algebra import AlgebraMismatch, GAError, Signature, SignatureError
 
 from bruteforce import blade_of_mask, mask_of_blade, multiply_blades
-from conftest import random_mv
+from conftest import plain_range, random_mv, rescaled_norm
 
 ASSOC_TOL = 1e-12
 
@@ -235,16 +235,38 @@ def test_grades_present_matches_per_grade_scan(data, alg):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), alg=st.sampled_from([ga.pga(2), ga.pga(3), ga.cga(3)]))
 def test_norm_is_numpy_norm_bitwise(data, alg):
-    # every tolerance in euclid and motors scales with this value
+    # every tolerance in euclid and motors scales with this value: bitwise
+    # np.linalg.norm on its plain range, the rescaled norm past it
     special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200,
                                math.inf, math.nan])
     coeffs = np.array(data.draw(st.lists(
         st.floats() | special, min_size=alg.size, max_size=alg.size)))
-    with np.errstate(over="ignore"):  # both overflow in the same dot
-        got = alg.from_coeffs(coeffs).norm()
-        want = np.linalg.norm(coeffs)
+    got = alg.from_coeffs(coeffs).norm()
     assert type(got) is float
-    assert np.float64(got).tobytes() == want.tobytes()
+    if plain_range(coeffs):
+        assert np.float64(got).tobytes() == np.linalg.norm(coeffs).tobytes()
+    elif np.isfinite(coeffs).all():
+        want = rescaled_norm(coeffs)
+        assert abs(got - want) <= 1e-15 * want + 5e-324, (got, want)
+    else:  # an inf outweighs a NaN, as in math.hypot
+        assert (got == math.inf) if np.isinf(coeffs).any() else math.isnan(got)
+
+
+# finite floats whose norm is finite for up to 32 of them, and the edges
+edge_floats = st.floats(-1e307, 1e307) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e-200, 1e-160, 1e154, -2e154, 1e200, 1e300])
+
+
+@settings(max_examples=500, deadline=None)
+@given(c=st.lists(edge_floats, min_size=1, max_size=32).map(np.array))
+def test_norm_of_is_plain_in_range_and_finite_past_it(c):
+    got = ga.norm_of(c)
+    assert type(got) is float and math.isfinite(got)
+    if plain_range(c):
+        assert np.float64(got).tobytes() == np.linalg.norm(c).tobytes()
+    else:  # hypot's own bits are not pinned, only its distance to the oracle
+        want = rescaled_norm(c)
+        assert abs(got - want) <= 2 * math.ulp(want), (got, want)
 
 
 @pytest.mark.parametrize("alg", [ga.pga(2), ga.pga(3), ga.cga(3)],

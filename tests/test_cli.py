@@ -300,6 +300,20 @@ class TestConstruct:
         assert code == 1
         assert "meet degenerates" in captured.err
 
+    def test_far_line_is_not_degenerate(self, tmp_path, capsys):
+        # the points' norms pass 1.3e154, so their squares overflow; the
+        # degeneracy test scales with those norms
+        path = write_scene(tmp_path, {"entities": {
+            "P": {"type": "point", "coords": [2e154, 0, 0]},
+            "Q": {"type": "point", "coords": [2e154, 1, 0]}}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["construct", "--scene", path, "P & Q"]) == 0
+        captured = capsys.readouterr()
+        assert "result: 2e+154*e03 - 1.0*e13\n" in captured.out
+        assert "incident: yes\n" in captured.out
+        assert captured.err == ""
+
     def test_cga_scene_refused(self, capsys):
         code = main(["construct", "--scene", str(SCENES / "cga_points.json")])
         assert code == 2

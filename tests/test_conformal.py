@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from conftest import plain_range, rescaled
 from pgakit import conformal as cf
 from pgakit import euclid, motors
 from pgakit.duality import join
@@ -39,6 +40,13 @@ class TestNullBasis:
         p = cf.up(cga3, x, y, z)
         assert cf.is_null(p)
         assert cf.infinity_pairing(p) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_far_scaled_point_is_no_traceback(self, cga3):
+        # its norm, 1e200 times up()'s, is finite, and squared with ** it
+        # raises OverflowError; its pairing overflows to NaN: not null
+        p = cf.up(cga3, 1.0, 2.0, 3.0) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not cf.is_null(p)
 
 
 class TestEmbedding:
@@ -430,16 +438,37 @@ class TestVersorSlots:
     """rotor and translator write each slot the composed products give."""
 
     def test_rotor_and_translator_are_the_composed_bytes(self, cga3, rng):
+        # an axis whose |axis|^2 overflows or underflows has no composed
+        # bytes to match (np.linalg.norm gives inf or 0 for it); its rotor
+        # is the composed one of the axis rescaled by a power of two
         vectors = list(seeded_vectors(rng, 2400))
         angles = rng.uniform(-10.0, 10.0, len(vectors))
         special = [0.0, -0.0, 1e-300, 1e300, math.pi]
         angles[::7] = rng.choice(special, len(angles[::7]))
-        with np.errstate(over="ignore"):  # |axis|^2 past the float range
-            for x, y, angle in zip(vectors, vectors[1:], angles.tolist()):
-                assert (outcome(cf.rotor, cga3, x, angle)
-                        == outcome(composed_rotor, cga3, x, angle)), (x, angle)
-                assert (outcome(cf.translator, cga3, y)
-                        == outcome(composed_translator, cga3, y)), y
+        far = 0
+        for x, y, angle in zip(vectors, vectors[1:], angles.tolist()):
+            got = outcome(cf.rotor, cga3, x, angle)
+            if plain_range(x):
+                assert got == outcome(composed_rotor, cga3, x, angle), (x, angle)
+            else:
+                far += 1
+                want = outcome(composed_rotor, cga3, rescaled(x)[0], angle)
+                assert got[1] == want[1], (x, angle)  # type, or error text
+                if got[0] != "error":
+                    assert np.abs(np.frombuffer(got[0]) - np.frombuffer(
+                        want[0])).max() <= 1e-15, (x, angle)
+            assert (outcome(cf.translator, cga3, y)
+                    == outcome(composed_translator, cga3, y)), y
+        assert 100 < far < 2000  # both sides of the plain range are drawn
+
+    @pytest.mark.parametrize("axis", [
+        [1e200, 0.0, 0.0], [1e-200, 0.0, 0.0], [1e300, -0.0, 0.0],
+        [5e-324, 0.0, 0.0]], ids=["1e200", "1e-200", "1e300", "subnormal"])
+    def test_far_and_tiny_axes_give_the_unit_axis_rotor(self, cga3, axis):
+        # sqrt(u.u) is inf or 0 for these: a bare scalar, or an axis
+        # refused as zero
+        got = cf.rotor(cga3, axis, 1.0)
+        assert got.coeffs.tobytes() == cf.rotor(cga3, [1, 0, 0], 1.0).coeffs.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_gives_a_non_finite_versor(self, cga3, bad):

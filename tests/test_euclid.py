@@ -115,6 +115,15 @@ class TestConstructors:
         assert flat_kind(point(pga2, 0.0, 0.0)) == "point"
         assert flat_kind(plane(pga2, 1.0, 0.0, 0.0)) == "line"
 
+    def test_far_flat_kinds(self, pga3, pga2):
+        # the grade tolerance scales with the norm, and a coefficient past
+        # 1.3e154 overflows a plain sum of squares
+        assert flat_kind(plane(pga3, 0.0, 1.0, 0.0, 1e200)) == "plane"
+        assert flat_kind(point(pga3, 1e200, 0.0, -1e200)) == "point"
+        line = line_from_points(point(pga3, 1e200, 0, 0), point(pga3, 1e200, 1, 0))
+        assert flat_kind(line) == "line"
+        assert flat_kind(point(pga2, 0.0, 1e200)) == "point"
+
 
 class TestNorms:
     def test_three_four_five(self, pga2):
@@ -221,6 +230,12 @@ class TestNonFiniteDistance:
         p, q = point(pga3, 1e153, 0.0, 0.0), point(pga3, -1e153, 0.0, 0.0)
         assert distance(p, q) == 2e153
 
+    def test_far_points_one_apart(self, pga3):
+        # each point's norm passes 1.3e154, so its square overflows; the
+        # grade check that says "p is a point" scales with that norm
+        p, q = point(pga3, 2e154, 0.0, 0.0), point(pga3, 2e154, 1.0, 0.0)
+        assert distance(p, q) == 1.0
+
 
 class TestAngle:
     def test_right_angle(self, pga3):
@@ -241,6 +256,13 @@ class TestAngle:
                         normalize(plane(pga3, *nb, db)))
             cos = np.dot(na, nb) / (np.linalg.norm(na) * np.linalg.norm(nb))
             assert got == pytest.approx(math.acos(np.clip(cos, -1, 1)), abs=1e-9)
+
+    def test_far_plane(self, pga3):
+        # a unit normal at offset 1e200, whose square overflows: the grade
+        # check scales with the norm
+        far = plane(pga3, 0.0, 1.0, 0.0, 1e200)
+        assert angle(plane(pga3, 0.0, 0.0, 1.0, 0.0), far) == math.pi / 2
+        assert angle(far, plane(pga3, 0.0, -1.0, 0.0, -1e200)) == math.pi
 
     def test_requires_unit_norm(self, pga3):
         with pytest.raises(GeometryError):

@@ -287,6 +287,22 @@ class TestEvaluation:
             evaluate(parse("big * e1"), pga3,
                      {"big": pga3.scalar(float("inf"))})
 
+    def test_hand_built_non_finite_number_refused(self, pga3):
+        # parse never makes one, so the Num checks itself, at its own column
+        node = Binary("+", Blade("e1", col=1), Binary(
+            "*", Num(float("inf"), col=6), Blade("e2", col=10), col=8), col=4)
+        with pytest.raises(EvalError, match="column 6: value is not finite"):
+            evaluate(node, pga3, {})
+        with pytest.raises(EvalError, match="column 3: value is not finite"):
+            evaluate(Num(float("nan"), col=3), pga3, {})
+
+    def test_only_operators_and_names_take_a_numpy_check(self, pga3,
+                                                          monkeypatch):
+        seen, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: seen.append(x) or isfinite(x))
+        evaluate(parse("e1 + 2 * e2 - P"), pga3, {"P": pga3.scalar(1.0)})
+        assert len(seen) == 4  # P, *, + and -, not the two blades or the 2
+
     def test_algebra_mismatch(self, pga3, cga3):
         env = {"q": cga3.scalar(2.0)}
         with pytest.raises(EvalError, match="different algebra"):

@@ -175,8 +175,8 @@ class TestScrews:
                              ids=["1e200", "1e-200", "1e300", "subnormal"])
     @pytest.mark.parametrize("unit", [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
     def test_axis_line_past_the_float_range(self, pga3, scale, unit):
-        """u.u leaves the float range for these finite axes; scaled by
-        their largest component they are the unit axis, bit for bit."""
+        """u.u leaves the float range for these finite axes; norm_of
+        scales the sum, so they are the unit axis, bit for bit."""
         center = [1.0, -0.5, 0.25]
         got = axis_line(pga3, center, np.multiply(unit, scale))
         assert got.coeffs.tobytes() == \
