@@ -20,15 +20,18 @@ and keeps its place in the list.  Every sign is ±1, so each value is
 bitwise that of the composition; only a zero slot may differ in sign,
 where the composition's last ``j_map`` turns a +0.0 sum into -0.0.
 In a dual algebra the native wedge intersects flats, so ``meet`` is just
-``outer`` there; ``join`` then spans.  ``polarity`` multiplies by the
-pseudoscalar and is not invertible when the metric is degenerate.
+``outer`` there; ``join`` then spans.  ``polarity``, x * I, is not
+invertible when the metric is degenerate.  It is one kernel call over the
+``gp`` pairs with the pseudoscalar on the right (``_polarity_pairs``):
+the terms it drops, (x_i * s) * 0.0, never change a sum that starts at
++0.0, so a finite x gives ``x.gp(I)``'s bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, GAError, Multivector
+from .algebra import Algebra, GAError, Multivector, restrict
 
 
 def _tables(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +76,20 @@ def meet(x: Multivector, y: Multivector) -> Multivector:
     return x.outer(y)
 
 
+def _polarity_pairs(alg: Algebra) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``gp``'s pairs with the pseudoscalar slot on the right, and its
+    coefficients, shared, so read-only; via ``alg.cached``."""
+    unit = alg.pseudoscalar().coeffs
+    unit.flags.writeable = False
+    return restrict(alg.pairs["gp"], np.arange(alg.size), [alg.size - 1]), unit
+
+
+def polarity_of(alg: Algebra, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of x * I from x's, one kernel call."""
+    pairs, unit = alg.cached(_polarity_pairs)
+    return alg.product(pairs, coeffs, unit)
+
+
 def polarity(x: Multivector) -> Multivector:
     """Metric polarity x -> x * I; collapses ideal content when r > 0."""
-    return x.gp(x.algebra.pseudoscalar())
+    return Multivector(x.algebra, polarity_of(x.algebra, x.coeffs))

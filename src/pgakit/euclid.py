@@ -109,8 +109,12 @@ def _ideal_mask(alg: Algebra) -> np.ndarray:
     return np.array([bool(m & 1) for m in alg.mask_of])
 
 
-def is_ideal(x: Multivector, tol: float = NORMALIZED_TOL) -> bool:
-    return euclidean_norm(x) <= tol * max(1.0, x.norm())
+def is_ideal(x: Multivector) -> bool:
+    """max |x_E| <= 2^-52 max |x_ideal| (``point_coords``' weight test, no
+    squares): true from about 2^52 away from the origin on, and for every
+    ideal flat, whose euclidean slots products leave exactly zero."""
+    ideal, size = x.algebra.cached(_ideal_mask), np.abs(x.coeffs)
+    return size[~ideal].max() <= EPSILON * size[ideal].max()
 
 
 def normalize(x: Multivector) -> Multivector:
@@ -163,9 +167,18 @@ def _coord_table(alg: Algebra) -> np.ndarray:
     return rows
 
 
+def _e0_coeffs(alg: Algebra) -> np.ndarray:
+    """The ideal plane's coefficients, shared, so read-only."""
+    out = ideal_plane(alg).coeffs
+    out.flags.writeable = False
+    return out
+
+
 def direction(flat: Multivector) -> np.ndarray:
-    """Direction of a line: its ideal point, extracted as a vector."""
-    return ideal_direction(meet(flat, ideal_plane(flat.algebra)))
+    """Direction of a line: its ideal point flat ^ e0, as a vector."""
+    alg = flat.algebra
+    ideal = alg.product(alg.pairs["outer"], flat.coeffs, alg.cached(_e0_coeffs))
+    return alg.cached(_coord_table) @ ideal
 
 
 def _check_point(p: Multivector, n: int, who: str):

@@ -14,6 +14,9 @@ every bivector to be such a screw, which holds in pga(n) for n <= 3;
 from pga(4) on, e12 + e34 is none (its square has a grade-4 part), so
 ``_split`` and ``log_versor`` refuse those algebras.
 
+Inside, the screw and sandwich functions work on coefficient arrays, bit
+for bit as ``Multivector`` arithmetic would, and wrap only what they return.
+
 The biquaternion half of this module is deliberately independent: it
 multiplies pairs of quaternions with the hand-written Hamilton product
 and never touches the multivector tables, so the isomorphism tests
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, GAError, GeometryError, Multivector, norm_of
-from .duality import join, polarity
-from .euclid import euclidean_norm, normalize, point
+from .duality import join, polarity_of
+from .euclid import euclidean_norm, euclidean_norm_of, normalize, point
 
 VERSOR_TOL = 1e-9
 SMALL_ANGLE = 1e-12
@@ -57,11 +60,12 @@ def normalize_versor(g: Multivector) -> Multivector:
     return g / norm
 
 
-def _require_unit(g: Multivector, message: str):
+def _require_unit(alg: Algebra, g: np.ndarray, message: str):
     """A unit norm, NaN failing (``not <=``), and finite coefficients: the
     norm reads only the euclidean slots, never the ideal ones."""
-    defect = abs(g.scalar_product(g.reverse()) - 1.0)
-    if not (defect <= VERSOR_TOL and np.isfinite(g.coeffs).all()):
+    square = alg.product(alg.pairs["scalar"], g, g * alg.reverse_sign, 1)[0]
+    if not (abs(square - 1.0) <= VERSOR_TOL
+            and all(map(math.isfinite, g.tolist()))):
         raise GeometryError(message)
 
 
@@ -92,32 +96,35 @@ def sandwich(g: Multivector, x: Multivector) -> Multivector:
     them composed do.
     """
     g._peer(x)
-    _require_unit(g, "sandwich needs a normalized versor")
-    operand = x.involute() if _parity(g) else x
-    return g.gp(operand).gp(g.reverse())
+    alg, c, gp = g.algebra, g.coeffs, g.algebra.pairs["gp"]
+    _require_unit(alg, c, "sandwich needs a normalized versor")
+    operand = x.coeffs * alg.involute_sign if _parity(g) else x.coeffs
+    return Multivector(alg, alg.product(gp, alg.product(gp, c, operand),
+                                        c * alg.reverse_sign))
 
 
 def _split(b: Multivector, message: str):
     """alpha, beta and the commuting parts (alpha*u, beta*u*I) of the
     bivector b = alpha*u + beta*u*I, u a unit euclidean line, read from
     b*b = -alpha^2 - 2*alpha*beta*I and b*I = alpha*u*I.  An alpha below
-    SMALL_ANGLE takes b as purely ideal: parts (0, b)."""
-    alg = b.algebra
+    SMALL_ANGLE takes b as purely ideal: parts (0, b), as arrays."""
+    alg, c = b.algebra, b.coeffs
     _require_motor_algebra(alg)
-    if not b.is_zero() and b.grades_present() != (2,):
+    grades = b.grades_present()  # () for zero, and for NaN-only b
+    if grades != (2,) and (grades or not b.is_zero()):
         raise GeometryError(message)
-    sq = b.gp(b)
-    s, size = sq.scalar_part(), b.norm()
+    sq = alg.product(alg.pairs["gp"], c, c)
+    s, size = float(sq[0]), norm_of(c)
     if s > 1e-12 * max(1.0, size * size):  # ** raises OverflowError
         raise GAError("bivector square has positive scalar part")
     alpha = math.sqrt(max(0.0, -s))
     if alpha < SMALL_ANGLE:
-        return alpha, 0.0, alg.zero(), b
-    beta = -float(sq.coeffs[-1]) / (2.0 * alpha)  # I is the last slot
+        return alpha, 0.0, np.zeros(alg.size), c
+    beta = -float(sq[-1]) / (2.0 * alpha)  # I is the last slot
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise GeometryError("bivector too large: its square is not finite")
-    ideal = polarity(b) * (beta / alpha)
-    return alpha, beta, b - ideal, ideal
+    ideal = polarity_of(alg, c) * (beta / alpha)
+    return alpha, beta, c - ideal, ideal
 
 
 def exp_bivector(b: Multivector) -> Multivector:
@@ -133,7 +140,7 @@ def exp_bivector(b: Multivector) -> Multivector:
     if alpha < SMALL_ANGLE:
         return b.algebra.scalar(1.0) + b
     cos, sin = math.cos(alpha), math.sin(alpha)
-    out = euclidean.coeffs * (sin / alpha) + ideal.coeffs * cos
+    out = euclidean * (sin / alpha) + ideal * cos
     out[0], out[-1] = cos, -beta * sin  # both parts vanish on 1 and I
     return Multivector(b.algebra, out)
 
@@ -145,31 +152,32 @@ def log_versor(g: Multivector) -> Multivector:
     rotation half-angle lands in (0, pi).  Raises MultivaluedLogError
     when the motor is a full turn and the axis has cancelled out.
     """
-    _require_motor_algebra(g.algebra)
+    alg, c = g.algebra, g.coeffs
+    _require_motor_algebra(alg)
     if _parity(g) != 0:
         raise GeometryError("log needs an even versor")
-    _require_unit(g, "log needs a normalized versor")
-    w = g.scalar_part()
-    b2 = g.grade(2)
-    sin_alpha = euclidean_norm(b2)
-    pseudo = float(g.coeffs[-1])
+    _require_unit(alg, c, "log needs a normalized versor")
+    w, pseudo = float(c[0]), float(c[-1])
+    b2 = np.where(alg.grades == 2, c, 0.0)
+    sin_alpha = euclidean_norm_of(alg, b2)
     if sin_alpha < VERSOR_TOL:
         if w < 0.0:
             raise MultivaluedLogError("full-turn motor: axis is undetermined")
         if abs(pseudo) > VERSOR_TOL:
             raise GeometryError("not a motor: stray volume-grade component")
-        return b2 / w
+        return Multivector(alg, b2 / w)
     alpha = math.atan2(sin_alpha, w)
     # g = w + sin(alpha) u + beta w u I - beta sin(alpha) I
     beta = -pseudo / sin_alpha
-    axis_ideal = polarity(b2) / sin_alpha
+    axis_ideal = polarity_of(alg, b2) / sin_alpha
     axis = (b2 - axis_ideal * (beta * w)) / sin_alpha
-    return axis * alpha + axis_ideal * beta
+    return Multivector(alg, axis * alpha + axis_ideal * beta)
 
 
 def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
     """Commuting (euclidean, ideal) parts of a bivector, summing to b."""
-    return _split(b, "screw split is defined for bivectors only")[2:]
+    parts = _split(b, "screw split is defined for bivectors only")[2:]
+    return tuple(Multivector(b.algebra, part) for part in parts)
 
 
 def axis_line(alg: Algebra, center, axis) -> Multivector:
@@ -183,17 +191,19 @@ def axis_line(alg: Algebra, center, axis) -> Multivector:
         raise GeometryError("axis direction must be nonzero")
     u = u / nu
     c = np.asarray(center, dtype=float)
-    return normalize(join(point(alg, *(c + u)), point(alg, *c)))
+    line = join(point(alg, *(c + u)), point(alg, *c))
+    en = euclidean_norm(line)  # a line, never a point: normalize divides by en
+    return line / en if en > 0.0 else normalize(line)
 
 
 def screw_generator(line: Multivector, angle: float, displacement: float) -> Multivector:
     """Bivector whose exp rotates by angle about the unit line and slides
     displacement along it, both right-handed with the line's direction."""
-    half = 0.5 * float(angle)
-    gen = line * half
+    half, alg = 0.5 * float(angle), line.algebra
+    gen = line.coeffs * half
     if displacement:
-        gen = gen - polarity(line) * (0.5 * float(displacement))
-    return gen
+        gen = gen - polarity_of(alg, line.coeffs) * (0.5 * float(displacement))
+    return Multivector(alg, gen)
 
 
 def motor_from_screw(alg: Algebra, center, axis, angle: float,

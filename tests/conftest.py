@@ -80,6 +80,9 @@ def rescaled(c):
 
 def rescaled_norm(c) -> float:
     """``np.linalg.norm`` of the finite c, taken on ``rescaled(c)``, where
-    no square overflows, and scaled back."""
+    no square overflows, and scaled back: inf where that overflows."""
     scaled, k = rescaled(c)
-    return math.ldexp(float(np.linalg.norm(scaled)), k)
+    try:
+        return math.ldexp(float(np.linalg.norm(scaled)), k)
+    except OverflowError:
+        return math.inf

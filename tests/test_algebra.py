@@ -1,9 +1,11 @@
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgakit import algebra as ga
@@ -232,24 +234,48 @@ def test_grades_present_matches_per_grade_scan(data, alg):
     assert alg.from_coeffs(coeffs).grades_present(tol) == want
 
 
+_NORM_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200,
+                                 math.inf, math.nan])
+# two norms in the top ulp of the float range: the exact sums of squares
+# pass the halfway point to 2^1024, so inf is their correctly rounded norm
+# (math.hypot's); np.linalg.norm of the first, rescaled, is the largest
+# float, and of the second overflows in the oracle's own ldexp
+_TOP = [1.415223917924111e306, 1.4152239179247447e306]
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), alg=st.sampled_from([ga.pga(2), ga.pga(3), ga.cga(3)]))
-def test_norm_is_numpy_norm_bitwise(data, alg):
+@given(case=st.sampled_from([ga.pga(2), ga.pga(3), ga.cga(3)]).flatmap(
+    lambda alg: st.tuples(st.just(alg), st.lists(
+        st.floats() | _NORM_SPECIAL, min_size=alg.size, max_size=alg.size))))
+@example(case=(ga.pga(2), [0.0] * 6 + [_TOP[0], 1.7976374276414346e308]))
+@example(case=(ga.pga(2), [0.0] * 6 + [_TOP[1], 1.7976374276414346e308]))
+def test_norm_is_numpy_norm_bitwise(case):
     # every tolerance in euclid and motors scales with this value: bitwise
     # np.linalg.norm on its plain range, the rescaled norm past it
-    special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200,
-                               math.inf, math.nan])
-    coeffs = np.array(data.draw(st.lists(
-        st.floats() | special, min_size=alg.size, max_size=alg.size)))
+    alg, coeffs = case
+    coeffs = np.array(coeffs)
     got = alg.from_coeffs(coeffs).norm()
     assert type(got) is float
     if plain_range(coeffs):
         assert np.float64(got).tobytes() == np.linalg.norm(coeffs).tobytes()
     elif np.isfinite(coeffs).all():
         want = rescaled_norm(coeffs)
-        assert abs(got - want) <= 1e-15 * want + 5e-324, (got, want)
+        if math.inf in (got, want):  # the top ulp: either may round past it
+            assert min(got, want) >= (1.0 - 1e-15) * sys.float_info.max
+        else:
+            assert abs(got - want) <= 1e-15 * want + 5e-324, (got, want)
     else:  # an inf outweighs a NaN, as in math.hypot
         assert (got == math.inf) if np.isinf(coeffs).any() else math.isnan(got)
+
+
+def test_norm_of_overflows_where_the_exact_norm_does():
+    # the exact sums of squares pass (2^1024 - 2^970)^2: the norm rounds
+    # past the largest float, 2^1024 (1 - 2^-53), whatever numpy's sum says
+    for small in _TOP:
+        c = np.array([small, 1.7976374276414346e308])
+        exact = sum(Fraction(x) ** 2 for x in c.tolist())
+        assert exact >= Fraction(2 ** 1024 - 2 ** 970) ** 2
+        assert ga.norm_of(c) == math.inf
 
 
 # finite floats whose norm is finite for up to 32 of them, and the edges

@@ -29,6 +29,7 @@ from pgakit.euclid import (
     point_coords,
     weight,
 )
+from pgakit.euclid import _ideal_mask
 
 COORDS = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -176,6 +177,52 @@ class TestNorms:
     def test_is_ideal(self, pga3):
         assert is_ideal(ideal_plane(pga3))
         assert not is_ideal(plane(pga3, 1.0, 0.0, 0.0, 100.0))
+
+
+class TestIsIdeal:
+    """A flat reads as ideal where its euclidean slots are within rounding
+    of its ideal ones, as ``point_coords`` tests a weight: a flat 1e9 from
+    the origin is finite, one 2^52 away is not."""
+
+    @pytest.mark.parametrize("far", [1e9, 1e15, -3e15])
+    def test_far_line_is_finite(self, pga3, far):
+        line = line_from_points(point(pga3, far, 0.0, 0.0),
+                                point(pga3, far, 1.0, 0.0))
+        assert not is_ideal(line)
+        from pgakit.conformal import flat_rep
+
+        with pytest.raises(GeometryError, match="too far from the origin"):
+            flat_rep(line)
+
+    def test_ideal_flats_stay_ideal(self, pga2, pga3, rng):
+        from conftest import random_motor
+        from pgakit.motors import sandwich
+
+        for alg in (pga2, pga3):
+            n = alg.gens - 1
+            assert is_ideal(ideal_plane(alg))
+            for _ in range(50):
+                x = rng.uniform(-1e3, 1e3, n)
+                assert is_ideal(polarity(point(alg, *x)))
+                assert is_ideal(polarity(plane(alg, *rng.normal(size=n + 1))))
+                ideal_line = alg.from_coeffs(
+                    np.where(alg.grades == n - 1, rng.normal(size=alg.size), 0.0)
+                    * alg.cached(_ideal_mask))
+                moved = sandwich(random_motor(alg, rng), ideal_line)
+                assert is_ideal(moved) and is_ideal(ideal_line)
+                assert not is_ideal(point(alg, *x))
+
+    @pytest.mark.parametrize("x", [1e9, 2.0 ** 52 * (1 - 2.0 ** -53), 2.0 ** 52,
+                                   1e16, 1e200, -1e200, 1e300])
+    @pytest.mark.parametrize("w", [1.0, -3.5, 1e-100, 1e7])
+    def test_point_is_ideal_where_point_coords_refuses(self, pga3, x, w):
+        p = point(pga3, x, 0.0, 0.0) * w
+        try:
+            point_coords(p)
+            refused = False
+        except GeometryError:
+            refused = True
+        assert is_ideal(p) == refused
 
 
 class TestDistance:
