@@ -36,7 +36,11 @@ zero: 32 pairs in cga(3), 8 in pga(3).  ``Multivector.scalar_product``
 runs the kernel over that list into one bin, so it adds exactly the
 terms ``gp`` adds to its scalar slot, in the same order, and
 ``a.scalar_product(b)`` is bitwise ``a.gp(b).scalar_part()`` at a
-fraction of the work.
+fraction of the work.  Every caller shares these lists, the involution
+signs and the tables ``Algebra.cached`` keeps, so their arrays are
+read-only.  The integer tables they are built from (``sign``,
+``result``, ``outer_sign``) stay writable: only the build and table
+builders read them.
 
 An algebra names the euclidean model it is, once, from its signature:
 ``model`` and ``n`` are ``("pga", n)`` for a dual (n,0,1) signature,
@@ -175,6 +179,7 @@ class Algebra:
         k = self.grades.astype(np.int64)
         self.reverse_sign = np.where(k * (k - 1) // 2 % 2, -1, 1).astype(np.int8)
         self.involute_sign = np.where(k % 2, -1, 1).astype(np.int8)
+        _freeze((*self.pairs.values(), self.reverse_sign, self.involute_sign))
         # positions are grade-sorted, so grade g fills bounds[g]:bounds[g + 1]
         bounds = np.searchsorted(g, np.arange(self.gens + 2)).tolist()
         self.grade_slice = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -201,9 +206,11 @@ class Algebra:
 
     def cached(self, build):
         """Per-algebra table ``build(self)``, kept under the builder from
-        first use: modules derive their own tables from the algebra here."""
+        first use: modules derive their own tables from the algebra here.
+        Every caller shares it, so each array in it, through tuples and
+        lists, is made read-only."""
         if build not in self._cache:
-            self._cache[build] = build(self)
+            self._cache[build] = _freeze(build(self))
         return self._cache[build]
 
     def product(self, pairs, a: np.ndarray, b: np.ndarray,
@@ -302,6 +309,16 @@ class Algebra:
         s = self.signature
         tag = "dual " if s.orientation == "dual" else ""
         return f"Algebra({tag}{s.p},{s.q},{s.r})"
+
+
+def _freeze(table):
+    """``table``, each array in it, through tuples and lists, read-only."""
+    if isinstance(table, np.ndarray):
+        table.flags.writeable = False
+    elif isinstance(table, (tuple, list)):
+        for part in table:
+            _freeze(part)
+    return table
 
 
 def _cayley(alg: Algebra) -> np.ndarray:
@@ -489,8 +506,8 @@ class Multivector:
         for residual checks, and finite for every finite norm."""
         return norm_of(self.coeffs)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()  # a NaN slot is not zero
 
     def close_to(self, other: "Multivector", tol: float = 1e-12) -> bool:
         other = self._peer(other)

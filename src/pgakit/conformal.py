@@ -32,14 +32,16 @@ same kernel call as ``p.scalar_product(n_infinity(alg))`` on them, and
 ``flat_rep`` wedges with them; ``n_infinity()`` still hands out a fresh,
 writable copy.
 
-The versors are slot writes too.  ``rotor``'s plane e012 u and
-``translator``'s t n_inf each have one nonzero term per slot, so both
-write 0.0 - (sign * value) * factor onto the slots of a cached table
-(``_rotor_slots``, ``_translator_slots``) of (slot, sign) pairs read off
-``alg.pairs["gp"]``: the composed cos - plane sin (u from ``norm_of``)
-and 1 - t n_inf / 2 to the byte, +0.0 in every other slot, no kernel
-call (a non-finite axis or offset stays non-finite, with NaNs on fewer
-slots).  ``flat_rep`` runs its wedges on restricted pairs: ``outer``'s
+The versors are one kernel call each, on restricted ``gp`` pairs:
+``rotor``'s plane e012 u over the pairs with e012 on the left and a
+euclidean vector slot on the right (``_rotor_pairs``, 3 in cga(3), kept
+with e012's coefficients), ``translator``'s t n_inf over those with a
+euclidean vector slot on the left and e_n or e_(n+1) on the right
+(``_translator_pairs``, 6), against the cached n_inf.  Each then takes
+the composed difference on arrays, cos - plane sin (u from ``norm_of``)
+and 1 - t n_inf / 2, so both are the composed products to the byte (a
+non-finite axis or offset stays non-finite, with NaNs on fewer slots).
+``flat_rep`` runs its wedges on restricted pairs: ``outer``'s
 pairs with a 1-vector on the right (``_wedge_pairs``), enough for each
 point and for n_inf, since the terms it drops are zeros of up() points
 and n_inf; it reads a cached, read-only plane-based origin
@@ -77,11 +79,10 @@ def n_origin(alg: Algebra) -> Multivector:
 
 
 def _n_inf_coeffs(alg: Algebra) -> np.ndarray:
-    """n_inf's coefficients, shared by every caller, so read-only."""
+    """n_inf's coefficients; via ``alg.cached``."""
     _, plus, minus = alg.cached(_null_slots)
     out = np.zeros(alg.size)
     out[plus] = out[minus] = 1.0
-    out.flags.writeable = False
     return out
 
 
@@ -176,39 +177,20 @@ def cga_distance(p: Multivector, q: Multivector) -> float:
     return math.sqrt(d2)
 
 
-def _gp_terms(alg: Algebra, left, right) -> tuple[np.ndarray, np.ndarray]:
-    """Slot and sign of the gp of blades left[m] and right[m], for each m,
-    read off ``alg.pairs["gp"]`` (a conformal metric zeroes no pair)."""
-    i, j, k, sign = alg.pairs["gp"]
-    at = [np.flatnonzero((i == a) & (j == b))[0] for a, b in zip(left, right)]
-    return k[at], sign[at]
-
-
-def _rotor_slots(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
-    """Where e012 e_i lands, for each euclidean e_i: the rotor's plane."""
+def _rotor_pairs(alg: Algebra) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """``gp``'s pairs from e012 times a euclidean e_i, and e012's
+    coefficients: the rotor's plane."""
     vec, _, _ = alg.cached(_null_slots)
-    e = range(vec.start, vec.stop)
-    return _gp_terms(alg, [alg.pos_of_name("e012")] * len(e), e)
+    e012 = alg.blade("e012").coeffs
+    return restrict(alg.pairs["gp"], np.flatnonzero(e012),
+                    np.arange(vec.start, vec.stop)), e012
 
 
-def _translator_slots(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
-    """Where e_i e_n, then e_i e_(n+1) land: t n_inf, one slot per term."""
+def _translator_pairs(alg: Algebra) -> tuple[np.ndarray, ...]:
+    """``gp``'s pairs from a euclidean e_i times e_n or e_(n+1): t n_inf."""
     vec, plus, minus = alg.cached(_null_slots)
-    e = list(range(vec.start, vec.stop))
-    return _gp_terms(alg, e + e, [plus] * len(e) + [minus] * len(e))
-
-
-def _versor(alg: Algebra, head: float, table, values,
-            factor: float) -> Multivector:
-    """head - t * factor, where the product t has the one term
-    sign * value on each of the table's slots and only zero terms
-    elsewhere: 0.0 - (sign * value) * factor there, the composed
-    subtraction's value, whose zeros all come out +0.0."""
-    slots, signs = table
-    out = np.zeros(alg.size)
-    out[0] = head  # head - (+0.0 * factor): head, never zero itself
-    out[slots] = 0.0 - (signs * values) * factor
-    return Multivector(alg, out)
+    return restrict(alg.pairs["gp"], np.arange(vec.start, vec.stop),
+                    [plus, minus])
 
 
 def rotor(alg: Algebra, axis, angle: float) -> Multivector:
@@ -219,17 +201,19 @@ def rotor(alg: Algebra, axis, angle: float) -> Multivector:
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
     alg.require("cga", 3)
-    u = _coords(alg, u / nu)
+    pairs, e012 = alg.cached(_rotor_pairs)
+    plane = alg.product(pairs, e012, euclidean_vector(alg, u / nu).coeffs)
     half = 0.5 * float(angle)
-    return _versor(alg, math.cos(half), alg.cached(_rotor_slots), u,
-                   math.sin(half))
+    return Multivector(alg, alg.scalar(math.cos(half)).coeffs
+                       - plane * math.sin(half))
 
 
 def translator(alg: Algebra, offset) -> Multivector:
     """Translation versor 1 - (1/2) t n_inf."""
-    table = alg.cached(_translator_slots)
-    t = _coords(alg, offset)
-    return _versor(alg, 1.0, table, np.concatenate((t, t)), 0.5)
+    pairs = alg.cached(_translator_pairs)
+    t = euclidean_vector(alg, offset).coeffs
+    t_inf = alg.product(pairs, t, alg.cached(_n_inf_coeffs))
+    return Multivector(alg, alg.scalar(1.0).coeffs - t_inf * 0.5)
 
 
 def _wedge_pairs(alg: Algebra) -> tuple[np.ndarray, ...]:
@@ -240,12 +224,10 @@ def _wedge_pairs(alg: Algebra) -> tuple[np.ndarray, ...]:
 
 
 def _origin_coeffs(alg: Algebra) -> np.ndarray:
-    """The plane-based origin's coefficients, shared, so read-only."""
+    """The plane-based origin's coefficients; via ``alg.cached``."""
     from . import euclid
 
-    out = euclid.origin(alg).coeffs
-    out.flags.writeable = False
-    return out
+    return euclid.origin(alg).coeffs
 
 
 def _span(points: list[Multivector]) -> Multivector:

@@ -78,10 +78,9 @@ def meet(x: Multivector, y: Multivector) -> Multivector:
 
 def _polarity_pairs(alg: Algebra) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """``gp``'s pairs with the pseudoscalar slot on the right, and its
-    coefficients, shared, so read-only; via ``alg.cached``."""
-    unit = alg.pseudoscalar().coeffs
-    unit.flags.writeable = False
-    return restrict(alg.pairs["gp"], np.arange(alg.size), [alg.size - 1]), unit
+    coefficients; via ``alg.cached``."""
+    return (restrict(alg.pairs["gp"], np.arange(alg.size), [alg.size - 1]),
+            alg.pseudoscalar().coeffs)
 
 
 def polarity_of(alg: Algebra, coeffs: np.ndarray) -> np.ndarray:

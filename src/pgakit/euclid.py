@@ -139,15 +139,17 @@ def normalize(x: Multivector) -> Multivector:
 def point_coords(p: Multivector) -> np.ndarray:
     """Cartesian coordinates of a (not necessarily unit-weight) point.
 
-    The weight w is refused only where it is not finite, or where it is
-    within rounding of zero against the point's own ideal slots w x_i,
-    |w| <= 2^-52 max |w x_i|.  So a far point keeps its coordinates, up
-    to |x| = 2^52 for a unit weight."""
-    w = weight(p)
-    scaled = p.algebra.cached(_coord_table) @ p.coeffs
-    if not math.isfinite(w) or abs(w) <= EPSILON * np.abs(scaled).max():
-        raise GeometryError("ideal point has no cartesian coordinates")
-    return scaled / w
+    The point is refused only where a coefficient is not finite (before
+    any arithmetic: an inf slot times the table's zeros is NaN), or where
+    its weight w is within rounding of zero against its own ideal slots
+    w x_i, |w| <= 2^-52 max |w x_i|.  So a far point keeps its
+    coordinates, up to |x| = 2^52 for a unit weight."""
+    if all(map(math.isfinite, p.coeffs.tolist())):
+        w = weight(p)
+        scaled = p.algebra.cached(_coord_table) @ p.coeffs
+        if abs(w) > EPSILON * np.abs(scaled).max():
+            return scaled / w
+    raise GeometryError("ideal point has no cartesian coordinates")
 
 
 def ideal_direction(p: Multivector) -> np.ndarray:
@@ -168,10 +170,8 @@ def _coord_table(alg: Algebra) -> np.ndarray:
 
 
 def _e0_coeffs(alg: Algebra) -> np.ndarray:
-    """The ideal plane's coefficients, shared, so read-only."""
-    out = ideal_plane(alg).coeffs
-    out.flags.writeable = False
-    return out
+    """The ideal plane's coefficients; via ``alg.cached``."""
+    return ideal_plane(alg).coeffs
 
 
 def direction(flat: Multivector) -> np.ndarray:
@@ -228,13 +228,13 @@ def angle(u: Multivector, v: Multivector) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def incident(x: Multivector, y: Multivector, tol: float = INCIDENCE_TOL) -> bool:
+def incident(x: Multivector, y: Multivector) -> bool:
     """Incidence test; the residual tolerance scales with both weights."""
     x._peer(y)
     d = x.algebra.gens
     gx, gy = sum(significant_grades(x)), sum(significant_grades(y))
     prod = x.outer(y) if gx + gy <= d else join(x, y)
-    return prod.norm() <= tol * max(1e-30, x.norm() * y.norm())
+    return prod.norm() <= INCIDENCE_TOL * max(1e-30, x.norm() * y.norm())
 
 
 def perpendicular_through_point(line: Multivector, p: Multivector) -> Multivector:

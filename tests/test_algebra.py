@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import sys
@@ -530,3 +531,53 @@ def test_gp_dense_matches_table_path(pga3, cga3, rng):
 def test_algebra_is_cached():
     assert ga.pga(3) is ga.pga(3)
     assert ga.build_algebra(Signature(3, 0, 1, "dual")) is ga.pga(3)
+
+
+def _arrays(table):
+    """Every array in a table, through tuples and lists."""
+    if isinstance(table, np.ndarray):
+        yield table
+    elif isinstance(table, (tuple, list)):
+        for part in table:
+            yield from _arrays(part)
+
+
+def test_shared_tables_are_read_only(pga2, pga3, cga3):
+    """Pair lists, involution signs and every ``Algebra.cached`` table are
+    shared by all callers, so a write to any of them raises."""
+    from pgakit import conformal as cf
+    from pgakit import dynamics, euclid
+
+    for alg in (pga2, pga3):
+        p = euclid.point(alg, *[1.0, -2.0, 0.5][:alg.n])
+        line = du.join(p, euclid.point(alg, *[0.0, 3.0, 1.0][:alg.n]))
+        euclid.point_coords(p), euclid.direction(line), euclid.ideal_norm(line)
+    cf.flat_rep(line)  # pga(3)'s
+    state = dynamics.BodyState(pga3.scalar(1.0), dynamics.bivector_from_vectors(
+        pga3, [1.0, 2.0, 3.0], [0.5, 0.0, 0.0]))
+    dynamics.write_trajectory(io.StringIO(), state, dynamics.InertiaOperator(
+        (1.0, 2.0, 3.0), 1.0), 1e-3, 3)
+    cf.rotor(cga3, [0.0, 0.0, 1.0], 0.5), cf.translator(cga3, [1.0, 2.0, 3.0])
+    cf.infinity_pairing(cf.up(cga3, 1.0, 2.0, 3.0))
+    for alg in (pga2, pga3, cga3):
+        x = alg.blade("e1") + alg.blade("e12", 2.0)
+        du.polarity(x), du.j_map(x), x.gp_dense(x)
+    built = {f"{b.__module__}.{b.__name__}"
+             for alg in (pga2, pga3, cga3) for b in alg._cache}
+    assert built >= {
+        "pgakit.algebra._cayley", "pgakit.duality._tables",
+        "pgakit.duality._join_pairs", "pgakit.duality._polarity_pairs",
+        "pgakit.euclid._ideal_mask", "pgakit.euclid._coord_table",
+        "pgakit.euclid._e0_coeffs", "pgakit.dynamics._generator_basis",
+        "pgakit.dynamics._even_positions", "pgakit.dynamics._tables",
+        "pgakit.conformal._null_slots", "pgakit.conformal._n_inf_coeffs",
+        "pgakit.conformal._rotor_pairs", "pgakit.conformal._translator_pairs",
+        "pgakit.conformal._wedge_pairs", "pgakit.conformal._origin_coeffs"}
+    for alg in (pga2, pga3, cga3):
+        shared = list(_arrays([*alg.pairs.values(), alg.reverse_sign,
+                               alg.involute_sign, *alg._cache.values()]))
+        assert len(shared) > 4 * 4 + 2  # cached tables beside pairs and signs
+        for table in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+        assert alg.sign.flags.writeable  # build-time tables stay writable

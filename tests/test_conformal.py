@@ -435,7 +435,7 @@ def product_lengths(monkeypatch, alg):
 
 
 class TestVersorSlots:
-    """rotor and translator write each slot the composed products give."""
+    """rotor and translator give the composed products' bytes."""
 
     def test_rotor_and_translator_are_the_composed_bytes(self, cga3, rng):
         # an axis whose |axis|^2 overflows or underflows has no composed
@@ -482,11 +482,13 @@ class TestVersorSlots:
             rotor = cf.rotor(cga3, [0, 0, 1], math.nan)
         assert not np.isfinite(rotor.coeffs).all()
 
-    def test_no_kernel_call(self, cga3, monkeypatch):
+    def test_one_restricted_kernel_call(self, cga3, monkeypatch):
+        # e012 times the three euclidean e_i; each e_i times e_n and e_(n+1)
         seen = product_lengths(monkeypatch, cga3)
         cf.rotor(cga3, [1.0, 2.0, -0.5], 0.7)
+        assert seen == [3]
         cf.translator(cga3, [1.0, -2.0, 3.0])
-        assert seen == []
+        assert seen == [3, 6]  # of cga(3)'s 1024 gp pairs
 
     def test_refusals_are_unchanged(self, cga3, pga3):
         with pytest.raises(GeometryError, match="nonzero"):
@@ -540,11 +542,12 @@ class TestDimensionAudit:
 
 
 class TestCachedInfinity:
-    """infinity_pairing and flat_rep's last wedge read one read-only n_inf
-    (translator writes its slots without it), and flat_rep a read-only
-    plane-based origin.  Slot writes: up, n_origin, euclidean_vector,
-    rotor and translator.  Restricted pairs: infinity_pairing, pairings
-    (the "scalar" list) and flat_rep's wedges (a 1-vector on the right)."""
+    """infinity_pairing, translator and flat_rep's last wedge read one
+    read-only n_inf, and flat_rep a read-only plane-based origin.  Slot
+    writes: up, n_origin and euclidean_vector.  Restricted pairs:
+    infinity_pairing, pairings (the "scalar" list), rotor (e012 on the
+    left), translator (n_inf's slots on the right) and flat_rep's wedges
+    (a 1-vector on the right)."""
 
     def test_pairing_is_bitwise_the_scalar_product(self, cga3, rng):
         _, plus, minus = cga3.cached(cf._null_slots)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ class TestConstructors:
         for p in (at_infinity, nan_weight, tiny, pga3.zero(), beyond):
             with pytest.raises(GeometryError, match="ideal point"):
                 point_coords(p)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_slot_is_refused_without_a_warning(self, pga2, pga3, bad):
+        """A coefficient that is not finite is refused before the table's
+        zeros multiply it, so no NaN coordinate and no numpy warning."""
+        points = []
+        for alg in (pga2, pga3):
+            for i in np.flatnonzero(alg.grades == alg.n):  # the weight too
+                p = point(alg, *[1.0, -2.0, 0.5][:alg.n])
+                p.coeffs[i] = bad
+                points.append(p)
+        with np.errstate(over="ignore"):
+            points.append(point(pga3, 1e300, 0.0, 0.0) * 1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in points:
+                with pytest.raises(GeometryError, match="ideal point"):
+                    point_coords(p)
 
     def test_small_weight_against_small_slots(self, pga3):
         """A tiny weight is refused only against the point's own slots."""
