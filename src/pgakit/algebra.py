@@ -19,26 +19,29 @@ form ``"2.0*e0 + 1.5*e12"`` is a sentence of the ``expr`` language, which
 
 The geometric, outer and left-contraction products, and the regressive
 join that ``duality`` derives from ``outer``, share one kernel,
-``Algebra.product``.  Each product is built once as its nonzero-sign
-blade pairs (i, j, k, sign) in i-major order, the order of a loop over
-the left operand's blades, and the kernel adds every term
-``(a[i] * sign) * b[j]`` onto blade k with ``np.bincount`` in that order,
-so results are bitwise reproducible; ``restrict`` keeps the order.  A
-zero-sign pair has no term: its ±0.0 never changed a sum that starts at
-+0.0, and a non-finite operand no longer turns it into ``inf * 0 = NaN``.
-The dense einsum kernel behind ``gp_dense`` is kept only as an
-independent check on the tables.
+``Algebra.product(pairs, a, b)``.  Each product is built once as a
+``Pairs``: its nonzero-sign blade pairs, fields ``i``, ``j``, ``k`` and
+``sign``, in i-major order, the order of a loop over the left operand's
+blades, and ``bins``, the length of its output.  The kernel adds every
+term ``(a[i] * sign) * b[j]`` onto bin k with ``np.bincount`` in that
+order, so results are bitwise reproducible; ``Pairs.restrict`` keeps the
+order.  A zero-sign pair has no term: its ±0.0 never changed a sum that
+starts at +0.0, and a non-finite operand no longer turns it into
+``inf * 0 = NaN``.  Only this module reads a pair list's layout; other
+modules read its named fields.  The dense einsum kernel behind
+``gp_dense`` is kept only as an independent check on the tables.
 
-``Algebra.pairs`` holds four such lists: ``"gp"``, ``"outer"``,
-``"left_contract"`` and ``"scalar"``, the ``gp`` pairs that land on the
-scalar (k = 0), i.e. each blade with itself where it does not square to
-zero: 32 pairs in cga(3), 8 in pga(3).  ``Multivector.scalar_product``
-runs the kernel over that list into one bin, so it adds exactly the
-terms ``gp`` adds to its scalar slot, in the same order, and
-``a.scalar_product(b)`` is bitwise ``a.gp(b).scalar_part()`` at a
-fraction of the work.  Every caller shares these lists, the involution
-signs and the tables ``Algebra.cached`` keeps, so their arrays are
-read-only.  The integer tables they are built from (``sign``,
+``Algebra.pairs`` holds four such lists: ``"gp"``, ``"outer"`` and
+``"left_contract"`` into ``size`` bins, and ``"scalar"``, the ``gp``
+pairs that land on the scalar (k = 0), into one bin: each blade with
+itself where it does not square to zero, 32 pairs in cga(3), 8 in
+pga(3).  ``Multivector.scalar_product`` runs the kernel over that list,
+so it adds exactly the terms ``gp`` adds to its scalar slot, in the same
+order, and ``a.scalar_product(b)`` is bitwise ``a.gp(b).scalar_part()``
+at a fraction of the work.  Every caller shares these lists, the
+involution signs and the tables ``Algebra.cached`` keeps, so their
+arrays are read-only; each list's private bin copy is the one writable
+array in it.  The integer tables they are built from (``sign``,
 ``result``, ``outer_sign``) stay writable: only the build and table
 builders read them.
 
@@ -163,23 +166,23 @@ class Algebra:
         self.result = np.argsort(masks)[masks[:, None] ^ masks].astype(np.int32)
         self.outer_sign = np.where(masks[:, None] & masks, 0, order).astype(np.int8)
 
-        # each product's nonzero-sign blade pairs (i, j, k, sign), i-major
+        # each product's nonzero-sign blade pairs, i-major; "scalar" is the
+        # gp pairs that land on the scalar slot, into one bin
         g = self.grades
         contract = np.where(g[self.result] == g[None, :] - g[:, None], self.sign, 0)
         self.pairs = {}
-        for kind, sign in (("gp", self.sign), ("outer", self.outer_sign),
-                           ("left_contract", contract)):
+        for kind, sign, bins in (
+                ("gp", self.sign, self.size), ("outer", self.outer_sign, self.size),
+                ("left_contract", contract, self.size),
+                ("scalar", np.where(self.result == 0, self.sign, 0), 1)):
             i, j = np.nonzero(sign)  # row-major: i-major
-            self.pairs[kind] = (i, j, self.result[i, j].astype(np.intp),
-                                sign[i, j].astype(float))
-        # the gp pairs that land on the scalar slot, still i-major
-        on_scalar = self.pairs["gp"][2] == 0
-        self.pairs["scalar"] = tuple(p[on_scalar] for p in self.pairs["gp"])
+            self.pairs[kind] = Pairs(i, j, self.result[i, j].astype(np.intp),
+                                     sign[i, j].astype(float), bins)
 
         k = self.grades.astype(np.int64)
         self.reverse_sign = np.where(k * (k - 1) // 2 % 2, -1, 1).astype(np.int8)
         self.involute_sign = np.where(k % 2, -1, 1).astype(np.int8)
-        _freeze((*self.pairs.values(), self.reverse_sign, self.involute_sign))
+        _freeze((self.reverse_sign, self.involute_sign))
         # positions are grade-sorted, so grade g fills bounds[g]:bounds[g + 1]
         bounds = np.searchsorted(g, np.arange(self.gens + 2)).tolist()
         self.grade_slice = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -213,25 +216,24 @@ class Algebra:
             self._cache[build] = _freeze(build(self))
         return self._cache[build]
 
-    def product(self, pairs, a: np.ndarray, b: np.ndarray,
-                bins: int | None = None) -> np.ndarray:
+    def product(self, pairs: "Pairs", a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The one product kernel: each pair's term (a[i] * sign) * b[j],
-        the order of a loop over blades, added onto bin k in pair order.
+        the order of a loop over blades, added onto bin k of ``pairs.bins``
+        in pair order.
 
         Operands stacked as (rows, size) give (rows, bins): row r's terms
         land on bins k + bins * r of the same bincount, still in pair
         order, so each row is bitwise its own 1-D product."""
-        i, j, k, sign = pairs
         if a.ndim == 1:
-            terms = a[i]  # a fresh array, scaled in place
-            terms *= sign
-            terms *= b[j]
-            return np.bincount(k, terms, minlength=bins or self.size)
-        rows, bins = len(a), bins or self.size
-        terms = a[:, i]
-        terms *= sign
-        terms *= b[:, j]
-        at = (k + bins * np.arange(rows)[:, None]).ravel()
+            terms = a[pairs.i]  # a fresh array, scaled in place
+            terms *= pairs.sign
+            terms *= b[pairs.j]
+            return np.bincount(pairs._bins, terms, minlength=pairs.bins)
+        rows, bins = len(a), pairs.bins
+        terms = a[:, pairs.i]
+        terms *= pairs.sign
+        terms *= b[:, pairs.j]
+        at = (pairs.k + bins * np.arange(rows)[:, None]).ravel()
         return np.bincount(at, terms.ravel(),
                            minlength=rows * bins).reshape(rows, bins)
 
@@ -311,6 +313,28 @@ class Algebra:
         return f"Algebra({tag}{s.p},{s.q},{s.r})"
 
 
+class Pairs:
+    """One product as its nonzero-sign blade pairs: the term
+    (a[i] * sign) * b[j] of each lands on bin k of ``bins``, in list order.
+
+    ``i``, ``j``, ``k`` (intp) and ``sign`` (float) are fresh arrays the
+    list takes over and makes read-only, since every caller shares them.
+    ``np.bincount`` copies a read-only index array on every call, so each
+    list keeps ``_bins``, a private writable copy of ``k`` that only
+    ``Algebra.product`` reads."""
+
+    __slots__ = ("i", "j", "k", "sign", "bins", "_bins")
+
+    def __init__(self, i, j, k, sign, bins: int):
+        self.i, self.j, self.k, self.sign = _freeze((i, j, k, sign))
+        self.bins, self._bins = bins, k.copy()
+
+    def restrict(self, left, right) -> "Pairs":
+        """The pairs from ``left`` × ``right`` slots, still in list order."""
+        keep = np.isin(self.i, left) & np.isin(self.j, right)
+        return Pairs(*(x[keep] for x in (self.i, self.j, self.k, self.sign)), self.bins)
+
+
 def _freeze(table):
     """``table``, each array in it, through tuples and lists, read-only."""
     if isinstance(table, np.ndarray):
@@ -326,12 +350,6 @@ def _cayley(alg: Algebra) -> np.ndarray:
     i = np.arange(alg.size)
     c[i[:, None], i[None, :], alg.result] = alg.sign
     return c
-
-
-def restrict(pairs, left, right) -> tuple[np.ndarray, ...]:
-    """The ``pairs`` from ``left`` × ``right`` slots, still i-major."""
-    keep = np.isin(pairs[0], left) & np.isin(pairs[1], right)
-    return tuple(p[keep] for p in pairs)
 
 
 def norm_of(c: np.ndarray) -> float:
@@ -496,7 +514,7 @@ class Multivector:
         other = self._peer(other)
         alg = self.algebra
         return float(alg.product(alg.pairs["scalar"], self.coeffs,
-                                 other.coeffs, 1)[0])
+                                 other.coeffs)[0])
 
     def __getitem__(self, blade_name: str) -> float:
         return float(self.coeffs[self.algebra.pos_of_name(blade_name)])

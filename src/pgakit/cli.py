@@ -301,17 +301,24 @@ def cmd_eval(args) -> int:
 # -- invariant suites for `check` ---------------------------------------------
 
 
+def _expect(ok, message: str) -> None:
+    """An invariant of ``check``: AssertionError(message) unless ``ok``.
+    Unlike an ``assert`` statement, ``python -O`` does not remove it."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _suite_core(rng):
     alg = pga(3)
     for _ in range(5):
         a, b, c = (alg.from_coeffs(rng.uniform(-2, 2, alg.size))
                    for _ in range(3))
         left, right = a.gp(b).gp(c), a.gp(b.gp(c))
-        assert left.close_to(right, tol=1e-10 * max(1.0, left.norm())), \
-            "geometric product is not associative"
+        _expect(left.close_to(right, tol=1e-10 * max(1.0, left.norm())),
+                "geometric product is not associative")
         dense = a.gp_dense(b)
-        assert np.array_equal(dense.coeffs, a.gp(b).coeffs), \
-            "dense and sparse kernels disagree"
+        _expect(np.array_equal(dense.coeffs, a.gp(b).coeffs),
+                "dense and sparse kernels disagree")
 
 
 def _suite_duality(rng):
@@ -319,13 +326,13 @@ def _suite_duality(rng):
         for _ in range(5):
             x = alg.from_coeffs(rng.uniform(-2, 2, alg.size))
             y = alg.from_coeffs(rng.uniform(-2, 2, alg.size))
-            assert j_map(j_map(x)).close_to(x, tol=0.0), \
-                "complement map is not an involution"
+            _expect(j_map(j_map(x)).close_to(x, tol=0.0),
+                    "complement map is not an involution")
             lhs, rhs = j_map(meet(x, y)), join(j_map(x), j_map(y))
-            assert lhs.close_to(rhs, tol=1e-12 * max(1.0, lhs.norm())), \
-                "complement does not exchange meet and join"
-        assert polarity(alg.pseudoscalar()).norm() == 0.0, \
-            "polarity of the pseudoscalar should vanish"
+            _expect(lhs.close_to(rhs, tol=1e-12 * max(1.0, lhs.norm())),
+                    "complement does not exchange meet and join")
+        _expect(polarity(alg.pseudoscalar()).norm() == 0.0,
+                "polarity of the pseudoscalar should vanish")
 
 
 def _suite_flats(rng):
@@ -333,15 +340,15 @@ def _suite_flats(rng):
     for _ in range(10):
         a, b = rng.uniform(-10, 10, 3), rng.uniform(-10, 10, 3)
         got = euclid.distance(euclid.point(alg, *a), euclid.point(alg, *b))
-        assert abs(got - norm_of(a - b)) <= 1e-10 * max(
-            1.0, got), "distance routes disagree with coordinates"
+        _expect(abs(got - norm_of(a - b)) <= 1e-10 * max(1.0, got),
+                "distance routes disagree with coordinates")
     p = euclid.point(alg, 1.0, 2.0, 0.5)
     axis = euclid.line_from_points(euclid.point(alg, 0, 0, 0),
                                    euclid.point(alg, 0, 0, 1))
     drop = euclid.perpendicular_through_point(axis, p)
-    assert euclid.incident(drop, p), "perpendicular misses its point"
-    assert abs(euclid.direction(drop) @ euclid.direction(axis)) < 1e-9, \
-        "perpendicular is not orthogonal"
+    _expect(euclid.incident(drop, p), "perpendicular misses its point")
+    _expect(abs(euclid.direction(drop) @ euclid.direction(axis)) < 1e-9,
+            "perpendicular is not orthogonal")
 
 
 def _suite_motors(rng):
@@ -353,15 +360,15 @@ def _suite_motors(rng):
             motors.axis_line(alg, rng.uniform(-2, 2, 3), axis),
             rng.uniform(0.05, 3.0), rng.uniform(-2, 2))
         back = motors.log_versor(motors.exp_bivector(gen))
-        assert back.close_to(gen, tol=1e-10 * max(1.0, gen.norm())), \
-            "exp/log round trip failed"
+        _expect(back.close_to(gen, tol=1e-10 * max(1.0, gen.norm())),
+                "exp/log round trip failed")
     g = motors.motor_from_screw(alg, [1, 0, 0], [0, 1, 0], 0.9, 0.4)
     p = euclid.point(alg, 2.0, -1.0, 3.0)
     q = euclid.point(alg, -1.0, 0.5, 1.0)
     before = euclid.distance(p, q)
     after = euclid.distance(motors.sandwich(g, p), motors.sandwich(g, q))
-    assert abs(after - before) <= 1e-10 * before, \
-        "motor does not preserve distance"
+    _expect(abs(after - before) <= 1e-10 * before,
+            "motor does not preserve distance")
 
 
 def _suite_dynamics(rng):
@@ -373,10 +380,10 @@ def _suite_dynamics(rng):
     e0 = dynamics.energy(state, inertia)
     m0 = dynamics.spatial_momentum(state)
     final = dynamics.integrate(state, inertia, 1e-3, 200)
-    assert abs(dynamics.energy(final, inertia) - e0) <= 1e-9 * e0, \
-        "energy drifted"
+    _expect(abs(dynamics.energy(final, inertia) - e0) <= 1e-9 * e0,
+            "energy drifted")
     drift = (dynamics.spatial_momentum(final) - m0).norm()
-    assert drift <= 1e-9 * m0.norm(), "spatial momentum drifted"
+    _expect(drift <= 1e-9 * m0.norm(), "spatial momentum drifted")
 
 
 def _suite_conformal(rng):
@@ -386,19 +393,19 @@ def _suite_conformal(rng):
         d_dual = euclid.distance(euclid.point(alg, *a), euclid.point(alg, *b))
         d_null = conformal.cga_distance(conformal.up(calg, a),
                                         conformal.up(calg, b))
-        assert abs(d_dual - d_null) <= 1e-10 * max(1.0, d_dual), \
-            "models disagree about distance"
+        _expect(abs(d_dual - d_null) <= 1e-10 * max(1.0, d_dual),
+                "models disagree about distance")
 
 
 def _suite_dsl(rng):
     alg = pga(3)
     ast = dsl.parse(DEFAULT_EXPRESSION)
-    assert dsl.parse(dsl.to_text(ast)) == ast, "round trip broke the AST"
+    _expect(dsl.parse(dsl.to_text(ast)) == ast, "round trip broke the AST")
     a = alg.from_coeffs(rng.uniform(-2, 2, alg.size))
     b = alg.from_coeffs(rng.uniform(-2, 2, alg.size))
     got = dsl.evaluate(dsl.parse("a * b"), alg, {"a": a, "b": b})
-    assert np.array_equal(got.coeffs, a.gp(b).coeffs), \
-        "evaluator disagrees with the library"
+    _expect(np.array_equal(got.coeffs, a.gp(b).coeffs),
+            "evaluator disagrees with the library")
 
 
 _SUITES = (

@@ -32,12 +32,12 @@ same kernel call as ``p.scalar_product(n_infinity(alg))`` on them, and
 ``flat_rep`` wedges with them; ``n_infinity()`` still hands out a fresh,
 writable copy.
 
-The versors are one kernel call each, on restricted ``gp`` pairs:
-``rotor``'s plane e012 u over the pairs with e012 on the left and a
-euclidean vector slot on the right (``_rotor_pairs``, 3 in cga(3), kept
-with e012's coefficients), ``translator``'s t n_inf over those with a
-euclidean vector slot on the left and e_n or e_(n+1) on the right
-(``_translator_pairs``, 6), against the cached n_inf.  Each then takes
+The versors are one kernel call each, on ``gp`` pairs cut down by
+``Pairs.restrict``: ``rotor``'s plane e012 u over the pairs with e012 on
+the left and a euclidean vector slot on the right (``_rotor_pairs``, 3 in
+cga(3), kept with e012's coefficients), ``translator``'s t n_inf over
+those with a euclidean vector slot on the left and e_n or e_(n+1) on the
+right (``_translator_pairs``, 6), against the cached n_inf.  Each then takes
 the composed difference on arrays, cos - plane sin (u from ``norm_of``)
 and 1 - t n_inf / 2, so both are the composed products to the byte (a
 non-finite axis or offset stays non-finite, with NaNs on fewer slots).
@@ -56,7 +56,7 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, cga, norm_of, restrict
+from .algebra import Algebra, GeometryError, Multivector, Pairs, cga, norm_of
 
 NULL_TOL = 1e-12
 PAIRING_TOL = 1e-9
@@ -131,7 +131,7 @@ def infinity_pairing(p: Multivector) -> float:
     n_inf zeroes still propagates."""
     alg = p.algebra
     return float(alg.product(alg.pairs["scalar"], p.coeffs,
-                             alg.cached(_n_inf_coeffs), 1)[0])
+                             alg.cached(_n_inf_coeffs))[0])
 
 
 def is_null(p: Multivector, tol: float = NULL_TOL) -> bool:
@@ -169,7 +169,7 @@ def cga_distance(p: Multivector, q: Multivector) -> float:
         if abs(infinity_pairing(x) + 1.0) > PAIRING_TOL:
             raise GeometryError(f"{name} must be normalized against n_inf")
     d2 = max(0.0, -2.0 * p.scalar_product(q))
-    i = p.algebra.pairs["scalar"][0]  # every scalar pair is (i, i)
+    i = p.algebra.pairs["scalar"].i  # every scalar pair is (i, i)
     size = abs(p.coeffs[i]) @ abs(q.coeffs[i])
     if 2.0 * len(i) * ROUNDING * size > DISTANCE_TOL * max(1.0, d2):
         raise GeometryError("points too far from the origin for the null-cone"
@@ -177,20 +177,20 @@ def cga_distance(p: Multivector, q: Multivector) -> float:
     return math.sqrt(d2)
 
 
-def _rotor_pairs(alg: Algebra) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _rotor_pairs(alg: Algebra) -> tuple[Pairs, np.ndarray]:
     """``gp``'s pairs from e012 times a euclidean e_i, and e012's
     coefficients: the rotor's plane."""
     vec, _, _ = alg.cached(_null_slots)
     e012 = alg.blade("e012").coeffs
-    return restrict(alg.pairs["gp"], np.flatnonzero(e012),
-                    np.arange(vec.start, vec.stop)), e012
+    return alg.pairs["gp"].restrict(np.flatnonzero(e012),
+                                    np.arange(vec.start, vec.stop)), e012
 
 
-def _translator_pairs(alg: Algebra) -> tuple[np.ndarray, ...]:
+def _translator_pairs(alg: Algebra) -> Pairs:
     """``gp``'s pairs from a euclidean e_i times e_n or e_(n+1): t n_inf."""
     vec, plus, minus = alg.cached(_null_slots)
-    return restrict(alg.pairs["gp"], np.arange(vec.start, vec.stop),
-                    [plus, minus])
+    return alg.pairs["gp"].restrict(np.arange(vec.start, vec.stop),
+                                    [plus, minus])
 
 
 def rotor(alg: Algebra, axis, angle: float) -> Multivector:
@@ -216,11 +216,11 @@ def translator(alg: Algebra, offset) -> Multivector:
     return Multivector(alg, alg.scalar(1.0).coeffs - t_inf * 0.5)
 
 
-def _wedge_pairs(alg: Algebra) -> tuple[np.ndarray, ...]:
+def _wedge_pairs(alg: Algebra) -> Pairs:
     """``outer``'s pairs with a 1-vector on the right: every wedge
     flat_rep makes, a blade of points with one more point or n_inf."""
     every = np.arange(alg.size)
-    return restrict(alg.pairs["outer"], every, every[alg.grade_slice[1]])
+    return alg.pairs["outer"].restrict(every, every[alg.grade_slice[1]])
 
 
 def _origin_coeffs(alg: Algebra) -> np.ndarray:

@@ -13,25 +13,26 @@ involutive map the shuffle identity
 signs at any grade.
 
 ``join`` is the regressive product ``j_map(outer(j_map(x), j_map(y)))``,
-run as one pair list on the shared kernel ``Algebra.product``: each
-``outer`` pair (a, b, k, s) moves through the complement to
-(P a, P b, P k, s * c[P a] * c[P b] * c[k]), with partner P and sign c,
-and keeps its place in the list.  Every sign is ±1, so each value is
-bitwise that of the composition; only a zero slot may differ in sign,
-where the composition's last ``j_map`` turns a +0.0 sum into -0.0.
-In a dual algebra the native wedge intersects flats, so ``meet`` is just
-``outer`` there; ``join`` then spans.  ``polarity``, x * I, is not
-invertible when the metric is degenerate.  It is one kernel call over the
-``gp`` pairs with the pseudoscalar on the right (``_polarity_pairs``):
-the terms it drops, (x_i * s) * 0.0, never change a sum that starts at
-+0.0, so a finite x gives ``x.gp(I)``'s bits.
+run as one ``algebra.Pairs`` list on the shared kernel
+``Algebra.product``: each ``outer`` pair (i, j, k, sign) moves through
+the complement to (P i, P j, P k, sign * c[P i] * c[P j] * c[k]), with
+partner P and sign c, and keeps its place in the list.  Every sign is
+±1, so each value is bitwise that of the composition; only a zero slot
+may differ in sign, where the composition's last ``j_map`` turns a +0.0
+sum into -0.0.  In a dual algebra the native wedge intersects flats, so
+``meet`` is just ``outer`` there; ``join`` then spans.  ``polarity``,
+x * I, is not invertible when the metric is degenerate.  It is one
+kernel call over the ``gp`` pairs restricted to the pseudoscalar on the
+right (``_polarity_pairs``): the terms it drops, (x_i * s) * 0.0, never
+change a sum that starts at +0.0, so a finite x gives ``x.gp(I)``'s
+bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, GAError, Multivector, restrict
+from .algebra import Algebra, GAError, Multivector, Pairs
 
 
 def _tables(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
@@ -49,12 +50,12 @@ def j_map(x: Multivector) -> Multivector:
     return Multivector(x.algebra, out)
 
 
-def _join_pairs(alg: Algebra) -> tuple[np.ndarray, ...]:
+def _join_pairs(alg: Algebra) -> Pairs:
     """``outer``'s pairs moved through the complement; via ``alg.cached``."""
     partner, sign = alg.cached(_tables)
-    p = partner.astype(np.intp)
-    i, j, k, s = alg.pairs["outer"]
-    return p[i], p[j], p[k], s * sign[p[i]] * sign[p[j]] * sign[k]
+    p, o = partner.astype(np.intp), alg.pairs["outer"]
+    i, j = p[o.i], p[o.j]
+    return Pairs(i, j, p[o.k], o.sign * sign[i] * sign[j] * sign[o.k], o.bins)
 
 
 def join(x: Multivector, y: Multivector) -> Multivector:
@@ -76,10 +77,10 @@ def meet(x: Multivector, y: Multivector) -> Multivector:
     return x.outer(y)
 
 
-def _polarity_pairs(alg: Algebra) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _polarity_pairs(alg: Algebra) -> tuple[Pairs, np.ndarray]:
     """``gp``'s pairs with the pseudoscalar slot on the right, and its
     coefficients; via ``alg.cached``."""
-    return (restrict(alg.pairs["gp"], np.arange(alg.size), [alg.size - 1]),
+    return (alg.pairs["gp"].restrict(np.arange(alg.size), [alg.size - 1]),
             alg.pseudoscalar().coeffs)
 
 

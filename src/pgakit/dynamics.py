@@ -22,7 +22,8 @@ reused [stage, velocity] buffer, and ``rk4_step`` is one step of it.  A
 ``BodyState`` packs its array once, refusing an odd-grade part.  The
 products run on the algebra's one kernel with its ``gp`` pairs
 restricted to the slots they can touch: even × bivector for the rates,
-fused into one call, and even × even for the space momentum.
+fused into one ``Pairs`` list over four stacked outputs and so one call,
+and even × even for the space momentum.
 Only ±0.0 terms are dropped, so states, CSV rows and the step at which a
 run diverges are bitwise those of whole-multivector products, down to
 the residue the pose and momentum keep in their scalar and pseudoscalar.
@@ -47,7 +48,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, cga, pga, restrict
+from .algebra import Algebra, GeometryError, Multivector, Pairs, cga, pga
 from .euclid import euclidean_norm_of, significant_grades
 from .motors import axis_line
 
@@ -164,13 +165,13 @@ def _tables(alg: Algebra):
     n, sl, even = alg.size, alg.grade_slice[2], alg.cached(_even_positions)
     biv, v = np.arange(sl.start, sl.stop), 2 * n - sl.start  # v's p is x[v + p]
     gp = alg.pairs["gp"]
-    gv, vm = restrict(gp, even, biv), restrict(gp, biv, even)
+    gv, vm = gp.restrict(even, biv), gp.restrict(biv, even)
     # bins g v, m v, a gap, v m: out[:2n] - out[2n:] is [g v, m v - v m]
-    rates = [np.concatenate(c) for c in zip(
-        (gv[0], gv[1] + v, gv[2], gv[3]),
-        (gv[0] + n, gv[1] + v, gv[2] + n, gv[3]),
-        (vm[0] + v, vm[1] + n, vm[2] + 3 * n, vm[3]))]
-    return rates, slice(n + sl.start, n + sl.stop), restrict(gp, even, even)
+    rates = Pairs(*(np.concatenate(c) for c in zip(
+        (gv.i, gv.j + v, gv.k, gv.sign),
+        (gv.i + n, gv.j + v, gv.k + n, gv.sign),
+        (vm.i + v, vm.j + n, vm.k + 3 * n, vm.sign))), 4 * n)
+    return rates, slice(n + sl.start, n + sl.stop), gp.restrict(even, even)
 
 
 def energy(state: BodyState, inertia: InertiaOperator) -> float:
@@ -212,7 +213,7 @@ def _stepper(alg: Algebra, inertia: InertiaOperator, renormalize: bool):
     def f():
         # [pose', momentum'] = [g v, m v - v m] / 2 at the stage in x
         np.divide(stage[vel], inertia._diag, out=v)
-        out = alg.product(rates, x, x, 4 * n)
+        out = alg.product(rates, x, x)
         k = out[:2 * n]
         k -= out[2 * n:]
         k *= 0.5

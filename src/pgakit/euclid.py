@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .algebra import Algebra, GAError, GeometryError, Multivector, norm_of
-from .duality import join, meet
+from .duality import join
 
 CROSS_CHECK_TOL = 1e-12
 INCIDENCE_TOL = 1e-9
@@ -79,10 +79,6 @@ def line_from_points(p: Multivector, q: Multivector) -> Multivector:
     return join(p, q)
 
 
-def line_from_planes(a: Multivector, b: Multivector) -> Multivector:
-    return meet(a, b)
-
-
 def weight(x: Multivector) -> float:
     """Coefficient on the volume blade e1..en; +-1 on normalized points."""
     return float(x.coeffs[x.algebra.pos_of[(x.algebra.size - 1) ^ 1]])
@@ -96,7 +92,7 @@ def euclidean_norm_of(alg: Algebra, coeffs: np.ndarray) -> float:
     """sqrt|<x ~x>_0| from x's coefficients, for callers that hold an
     array rather than a ``Multivector``."""
     return math.sqrt(abs(float(alg.product(
-        alg.pairs["scalar"], coeffs, coeffs * alg.reverse_sign, 1)[0])))
+        alg.pairs["scalar"], coeffs, coeffs * alg.reverse_sign)[0])))
 
 
 def ideal_norm(x: Multivector) -> float:
@@ -154,7 +150,16 @@ def point_coords(p: Multivector) -> np.ndarray:
 
 def ideal_direction(p: Multivector) -> np.ndarray:
     """Direction vector packed in an ideal point (a weight-zero point)."""
+    _require_finite(p)
     return p.algebra.cached(_coord_table) @ p.coeffs
+
+
+def _require_finite(flat: Multivector):
+    """Refuse, as ``point_coords`` does, a non-finite coefficient before a
+    table's zeros multiply it: inf * 0 would warn and give NaN."""
+    if not all(map(math.isfinite, flat.coeffs.tolist())):
+        raise GeometryError("a flat with a non-finite coefficient has no"
+                            " direction")
 
 
 def _coord_table(alg: Algebra) -> np.ndarray:
@@ -177,6 +182,7 @@ def _e0_coeffs(alg: Algebra) -> np.ndarray:
 def direction(flat: Multivector) -> np.ndarray:
     """Direction of a line: its ideal point flat ^ e0, as a vector."""
     alg = flat.algebra
+    _require_finite(flat)
     ideal = alg.product(alg.pairs["outer"], flat.coeffs, alg.cached(_e0_coeffs))
     return alg.cached(_coord_table) @ ideal
 
@@ -220,7 +226,7 @@ def angle(u: Multivector, v: Multivector) -> float:
     for name, x in (("u", u), ("v", v)):
         if significant_grades(x) != (1,):
             raise GeometryError(f"{name} is not a 1-vector")
-        if not np.isfinite(x.coeffs).all():
+        if not all(map(math.isfinite, x.coeffs.tolist())):
             raise GeometryError(f"{name} is not finite")
         if abs(euclidean_norm(x) - 1.0) > NORMALIZED_TOL:
             raise GeometryError(f"{name} must have unit euclidean norm")

@@ -272,7 +272,8 @@ def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivect
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         for n in reversed(order):  # post-order, left operand first
             value = _value(n, values, alg, env)  # a Num checks itself, a Blade is +-1
-            if not (isinstance(n, (Num, Blade)) or np.isfinite(value.coeffs).all()):
+            if not (isinstance(n, (Num, Blade))
+                    or all(map(math.isfinite, value.coeffs.tolist()))):
                 raise _error(n, "value is not finite")
             values.append(value)
     return values[0]

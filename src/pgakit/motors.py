@@ -53,17 +53,10 @@ def _parity(g: Multivector) -> int:
     return parities.pop()
 
 
-def normalize_versor(g: Multivector) -> Multivector:
-    norm = euclidean_norm(g)
-    if norm < 1e-15:
-        raise GeometryError("cannot normalize a null versor")
-    return g / norm
-
-
 def _require_unit(alg: Algebra, g: np.ndarray, message: str):
     """A unit norm, NaN failing (``not <=``), and finite coefficients: the
     norm reads only the euclidean slots, never the ideal ones."""
-    square = alg.product(alg.pairs["scalar"], g, g * alg.reverse_sign, 1)[0]
+    square = alg.product(alg.pairs["scalar"], g, g * alg.reverse_sign)[0]
     if not (abs(square - 1.0) <= VERSOR_TOL
             and all(map(math.isfinite, g.tolist()))):
         raise GeometryError(message)
@@ -83,7 +76,8 @@ def reflect(mirror: Multivector, x: Multivector) -> Multivector:
     if mirror.grades_present() != (1,):
         raise GeometryError("mirror must be a 1-vector")
     defect = abs(euclidean_norm(mirror) - 1.0)
-    if not (defect <= VERSOR_TOL and np.isfinite(mirror.coeffs).all()):
+    if not (defect <= VERSOR_TOL
+            and all(map(math.isfinite, mirror.coeffs.tolist()))):
         raise GeometryError("mirror must have unit euclidean norm")
     return mirror.gp(x).gp(mirror)
 

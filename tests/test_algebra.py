@@ -177,10 +177,9 @@ def test_restrict_is_the_product_on_its_slots(pga2, pga3, cga3, rng):
             for _ in range(20):
                 left, right = (np.flatnonzero(rng.random(alg.size) < 0.5)
                                for _ in range(2))
-                pairs = ga.restrict(alg.pairs[kind], left, right)
-                i, j, _, sign = pairs
-                assert np.all(sign != 0)
-                assert np.isin(i, left).all() and np.isin(j, right).all()
+                pairs = alg.pairs[kind].restrict(left, right)
+                assert np.all(pairs.sign != 0) and pairs.bins == alg.size
+                assert np.isin(pairs.i, left).all() and np.isin(pairs.j, right).all()
                 a, b = np.zeros(alg.size), np.zeros(alg.size)
                 a[left] = rng.choice([-0.0, 0.0, 1.5, -2.25], len(left))
                 b[right] = (rng.normal(size=len(right))
@@ -198,20 +197,20 @@ def test_stacked_rows_are_their_own_products(pga2, pga3, cga3, rng):
     special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200])
     for alg in (pga2, pga3, cga3):
         for kind in PRODUCTS:
-            for rows, bins in ((1, None), (7, None), (5, alg.size + 3)):
+            for rows, bins in ((1, alg.size), (7, alg.size), (5, alg.size + 3)):
                 a, b = (rng.normal(size=(rows, alg.size))
                         * rng.integers(0, 2, (rows, alg.size))
                         * rng.choice([1.0, -1.0], (rows, alg.size))
                         for _ in range(2))
                 a[rng.random(a.shape) < 0.1] = rng.choice(special)
                 keep = np.flatnonzero(rng.random(alg.size) < 0.7)
-                for pairs in (alg.pairs[kind],
-                              ga.restrict(alg.pairs[kind], keep, keep)):
+                for pairs in (alg.pairs[kind], alg.pairs[kind].restrict(keep, keep)):
+                    if bins != pairs.bins:
+                        pairs = ga.Pairs(pairs.i, pairs.j, pairs.k, pairs.sign, bins)
                     with np.errstate(all="ignore"):  # inf * 0, inf - inf
-                        got = alg.product(pairs, a, b, bins)
-                        want = [alg.product(pairs, x, y, bins)
-                                for x, y in zip(a, b)]
-                    assert got.shape == (rows, bins or alg.size)
+                        got = alg.product(pairs, a, b)
+                        want = [alg.product(pairs, x, y) for x, y in zip(a, b)]
+                    assert got.shape == (rows, bins)
                     assert got.tobytes() == np.array(want).tobytes(), \
                         (alg, kind)
 
@@ -299,13 +298,15 @@ def test_norm_of_is_plain_in_range_and_finite_past_it(c):
 @pytest.mark.parametrize("alg", [ga.pga(2), ga.pga(3), ga.cga(3)],
                          ids=["pga2", "pga3", "cga3"])
 def test_scalar_product_is_the_gp_scalar_bitwise(alg):
-    i, j, k, _ = alg.pairs["scalar"]
+    scalar, gp = alg.pairs["scalar"], alg.pairs["gp"]
+    i, j, k = scalar.i, scalar.j, scalar.k
     assert np.array_equal(i, j)  # a blade lands on the scalar only with itself
-    gp = alg.pairs["gp"]
     assert len(k) == {8: 4, 16: 8, 32: 32}[alg.size] and not k.any()
+    assert scalar.bins == 1
     # the gp pairs on the scalar slot, in gp's own (i-major) order
-    on_scalar = np.flatnonzero(gp[2] == 0)
-    assert np.array_equal(i, gp[0][on_scalar]) and np.array_equal(j, gp[1][on_scalar])
+    on_scalar = np.flatnonzero(gp.k == 0)
+    assert np.array_equal(i, gp.i[on_scalar]) and np.array_equal(j, gp.j[on_scalar])
+    assert np.array_equal(scalar.sign, gp.sign[on_scalar])
     rng = np.random.default_rng(20261018)
     special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200])
     for trial in range(2000):
@@ -534,17 +535,30 @@ def test_algebra_is_cached():
 
 
 def _arrays(table):
-    """Every array in a table, through tuples and lists."""
+    """Every array in a table, through tuples, lists and pair lists' public
+    fields."""
     if isinstance(table, np.ndarray):
         yield table
+    elif isinstance(table, ga.Pairs):
+        yield from (table.i, table.j, table.k, table.sign)
     elif isinstance(table, (tuple, list)):
         for part in table:
             yield from _arrays(part)
 
 
+def _pair_lists(table):
+    """Every pair list in a table, through tuples and lists."""
+    if isinstance(table, ga.Pairs):
+        yield table
+    elif isinstance(table, (tuple, list)):
+        for part in table:
+            yield from _pair_lists(part)
+
+
 def test_shared_tables_are_read_only(pga2, pga3, cga3):
     """Pair lists, involution signs and every ``Algebra.cached`` table are
-    shared by all callers, so a write to any of them raises."""
+    shared by all callers, so a write to any of them raises; each pair
+    list's private bins are its own writable copy of k."""
     from pgakit import conformal as cf
     from pgakit import dynamics, euclid
 
@@ -580,4 +594,10 @@ def test_shared_tables_are_read_only(pga2, pga3, cga3):
         for table in shared:
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0
+        lists = list(_pair_lists([*alg.pairs.values(), *alg._cache.values()]))
+        assert len(lists) > 4  # cached lists beside the algebra's four
+        for pairs in lists:
+            assert pairs._bins.flags.writeable
+            assert np.array_equal(pairs._bins, pairs.k)
+            assert not np.shares_memory(pairs._bins, pairs.k)
         assert alg.sign.flags.writeable  # build-time tables stay writable

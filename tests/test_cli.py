@@ -696,6 +696,25 @@ class TestCheckAndBench:
             main(["check", "--seed", "-1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_check_fails_a_perturbed_kernel_under_every_flag(self, flags):
+        # python -O strips assert statements; check's invariants must hold
+        # without them, so a kernel off by 1e-7 fails the same suites
+        perturb = ("import sys\n"
+                   "from pgakit import cli\n"
+                   "from pgakit.algebra import Algebra\n"
+                   "kernel = Algebra.product\n"
+                   "Algebra.product = lambda *args: kernel(*args) * (1 + 1e-7)\n"
+                   "sys.exit(cli.main(['check']))\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("PYTHONOPTIMIZE", None)
+        done = subprocess.run([sys.executable, *flags, "-c", perturb],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        assert "FAIL ga-core: dense and sparse kernels disagree" in lines
+        assert "FAIL dynamics: spatial momentum drifted" in lines
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -396,9 +396,9 @@ class TestSlotTableMatchesComposition:
         seen = []
         kernel = type(cga3).product
 
-        def counted(alg, pairs, a, b, bins=None):
-            seen.append(len(pairs[0]))
-            return kernel(alg, pairs, a, b, bins)
+        def counted(alg, pairs, a, b):
+            seen.append(len(pairs.i))
+            return kernel(alg, pairs, a, b)
 
         monkeypatch.setattr(type(cga3), "product", counted)
         p, q = cf.up(cga3, 1.0, -2.0, 3.0), cf.up(cga3, 0.5, 0.0, -1.0)
@@ -425,10 +425,10 @@ def product_lengths(monkeypatch, alg):
     """Pair-list lengths of every kernel call on ``alg`` from now on."""
     seen, kernel = [], type(alg).product
 
-    def counted(self, pairs, a, b, bins=None):
+    def counted(self, pairs, a, b):
         if self is alg:
-            seen.append(len(pairs[0]))
-        return kernel(self, pairs, a, b, bins)
+            seen.append(len(pairs.i))
+        return kernel(self, pairs, a, b)
 
     monkeypatch.setattr(type(alg), "product", counted)
     return seen
@@ -530,7 +530,7 @@ class TestFlatRepWedges:
         for x in flats:
             cf.flat_rep(x)
         assert len(seen) == 1 + 2 + 3
-        assert max(seen) < len(cga3.pairs["outer"][0])
+        assert max(seen) < len(cga3.pairs["outer"].i)
 
 
 class TestDimensionAudit:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgakit.algebra import GAError, pga
-from pgakit.duality import join, polarity
+from pgakit.duality import join, meet, polarity
 from pgakit.euclid import (
     GeometryError,
     angle,
@@ -16,11 +16,11 @@ from pgakit.euclid import (
     euclidean_norm,
     euclidean_norm_of,
     flat_kind,
+    ideal_direction,
     ideal_norm,
     ideal_plane,
     incident,
     is_ideal,
-    line_from_planes,
     line_from_points,
     normalize,
     origin,
@@ -90,13 +90,20 @@ class TestConstructors:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_slot_is_refused_without_a_warning(self, pga2, pga3, bad):
         """A coefficient that is not finite is refused before the table's
-        zeros multiply it, so no NaN coordinate and no numpy warning."""
-        points = []
+        zeros multiply it, so no NaN coordinate and no numpy warning: by
+        point_coords, and by the direction of an ideal point or a line."""
+        points, ideal_points, lines = [], [], []
         for alg in (pga2, pga3):
+            a, b = [1.0, -2.0, 0.5][:alg.n], [0.0, 3.0, 1.0][:alg.n]
             for i in np.flatnonzero(alg.grades == alg.n):  # the weight too
-                p = point(alg, *[1.0, -2.0, 0.5][:alg.n])
-                p.coeffs[i] = bad
+                p, d = point(alg, *a), point(alg, *a) - origin(alg)
+                p.coeffs[i] = d.coeffs[i] = bad
                 points.append(p)
+                ideal_points.append(d)
+            for i in np.flatnonzero(alg.grades == alg.n - 1):  # e01 among them
+                line = join(point(alg, *a), point(alg, *b))
+                line.coeffs[i] = bad
+                lines.append(line)
         with np.errstate(over="ignore"):
             points.append(point(pga3, 1e300, 0.0, 0.0) * 1e100)
         with warnings.catch_warnings():
@@ -104,6 +111,10 @@ class TestConstructors:
             for p in points:
                 with pytest.raises(GeometryError, match="ideal point"):
                     point_coords(p)
+            for f, flats in ((ideal_direction, ideal_points), (direction, lines)):
+                for x in flats:
+                    with pytest.raises(GeometryError, match="non-finite"):
+                        f(x)
 
     def test_small_weight_against_small_slots(self, pga3):
         """A tiny weight is refused only against the point's own slots."""
@@ -350,7 +361,7 @@ class TestAngle:
 class TestLines:
     def test_two_routes_to_a_line(self, pga3):
         # z axis: meet of the planes x=0 and y=0, join of two of its points
-        via_meet = line_from_planes(plane(pga3, 1, 0, 0, 0), plane(pga3, 0, 1, 0, 0))
+        via_meet = meet(plane(pga3, 1, 0, 0, 0), plane(pga3, 0, 1, 0, 0))
         via_join = line_from_points(point(pga3, 0, 0, 0), point(pga3, 0, 0, 5.0))
         assert incident(via_meet, point(pga3, 0.0, 0.0, -2.0))
         assert incident(via_join, point(pga3, 0.0, 0.0, 3.0))

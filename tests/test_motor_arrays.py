@@ -81,7 +81,7 @@ def test_polarity(data, alg):
     x = Multivector(alg, data.draw(_coeffs(alg, ANY)))
     assert_same(duality.polarity, ref.polarity, x, stays_non_finite=False)
     # a non-finite slot that the pseudoscalar does not zero shows
-    i, _, _, _ = alg.cached(duality._polarity_pairs)[0]
+    i = alg.cached(duality._polarity_pairs)[0].i
     if not np.isfinite(x.coeffs[i]).all():
         with np.errstate(all="ignore"):
             assert not np.isfinite(duality.polarity(x).coeffs).all()
@@ -90,11 +90,10 @@ def test_polarity(data, alg):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), alg=st.sampled_from(PGA))
 def test_direction(data, alg):
+    # finite: the same bits; non-finite: refused as the composition's
+    # ideal point is, with the same text
     flat = Multivector(alg, data.draw(_coeffs(alg, ANY)))
-    # the same kernel call on the same operands: the same bits, NaN and all
-    with np.errstate(all="ignore"):
-        got, want = euclid.direction(flat), ref.direction(flat)
-    assert got.tobytes() == want.tobytes()
+    assert_same(euclid.direction, ref.direction, flat)
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,10 +127,12 @@ def test_split_refuses_as_the_composition(alg, slot):
 
 @pytest.mark.parametrize("alg", PGA + [ga.cga(3)], ids=["pga2", "pga3", "cga3"])
 def test_polarity_pairs_are_the_gp_pairs_onto_the_pseudoscalar(alg):
-    (i, j, k, sign), unit = alg.cached(duality._polarity_pairs)
-    on_top = alg.pairs["gp"][1] == alg.size - 1
-    assert np.array_equal(i, alg.pairs["gp"][0][on_top])
-    assert (j == alg.size - 1).all() and len(set(k.tolist())) == len(k)
+    pairs, unit = alg.cached(duality._polarity_pairs)
+    gp = alg.pairs["gp"]
+    on_top = gp.j == alg.size - 1
+    assert np.array_equal(pairs.i, gp.i[on_top]) and pairs.bins == alg.size
+    assert (pairs.j == alg.size - 1).all()
+    assert len(set(pairs.k.tolist())) == len(pairs.k)
     assert unit.tobytes() == alg.pseudoscalar().coeffs.tobytes()
     assert not unit.flags.writeable
 
