@@ -35,15 +35,17 @@ modules read its named fields.  The dense einsum kernel behind
 ``"left_contract"`` into ``size`` bins, and ``"scalar"``, the ``gp``
 pairs that land on the scalar (k = 0), into one bin: each blade with
 itself where it does not square to zero, 32 pairs in cga(3), 8 in
-pga(3).  ``Multivector.scalar_product`` runs the kernel over that list,
-so it adds exactly the terms ``gp`` adds to its scalar slot, in the same
-order, and ``a.scalar_product(b)`` is bitwise ``a.gp(b).scalar_part()``
-at a fraction of the work.  Every caller shares these lists, the
-involution signs and the tables ``Algebra.cached`` keeps, so their
-arrays are read-only; each list's private bin copy is the one writable
-array in it.  The integer tables they are built from (``sign``,
-``result``, ``outer_sign``) stay writable: only the build and table
-builders read them.
+pga(3).  ``Algebra.scalar_product(a, b)``, the metric pairing <a b>_0 on
+coefficient arrays, runs the kernel over that list and is its one
+reader: it adds exactly the terms ``gp`` adds to its scalar slot, in the
+same order, so it is bitwise ``gp``'s scalar part at a fraction of the
+work.  ``Multivector.scalar_product``, the euclidean norm, the unit test
+of a versor and the conformal pairings all call it.  Every caller shares
+these lists, the involution signs and the tables ``Algebra.cached``
+keeps, so their arrays are read-only; each list's private bin copy is
+the one writable array in it.  The integer tables they are built from
+(``sign``, ``result``, ``outer_sign``) stay writable: only the build and
+table builders read them.
 
 An algebra names the euclidean model it is, once, from its signature:
 ``model`` and ``n`` are ``("pga", n)`` for a dual (n,0,1) signature,
@@ -236,6 +238,11 @@ class Algebra:
         at = (pairs.k + bins * np.arange(rows)[:, None]).ravel()
         return np.bincount(at, terms.ravel(),
                            minlength=rows * bins).reshape(rows, bins)
+
+    def scalar_product(self, a: np.ndarray, b: np.ndarray) -> float:
+        """<a b>_0 of two coefficient arrays, bitwise the scalar slot of
+        their ``gp``: the kernel over the ``"scalar"`` pairs."""
+        return float(self.product(self.pairs["scalar"], a, b)[0])
 
     # -- multivector factories -------------------------------------------
 
@@ -509,12 +516,9 @@ class Multivector:
         return float(self.coeffs[0])
 
     def scalar_product(self, other: "Multivector") -> float:
-        """<self other>_0, bitwise ``self.gp(other).scalar_part()``: the
-        kernel over the ``"scalar"`` pairs, the only ``gp`` terms on bin 0."""
-        other = self._peer(other)
-        alg = self.algebra
-        return float(alg.product(alg.pairs["scalar"], self.coeffs,
-                                 other.coeffs)[0])
+        """<self other>_0, bitwise ``self.gp(other).scalar_part()``."""
+        return self.algebra.scalar_product(self.coeffs,
+                                           self._peer(other).coeffs)
 
     def __getitem__(self, blade_name: str) -> float:
         return float(self.coeffs[self.algebra.pos_of_name(blade_name)])

@@ -39,8 +39,9 @@ cga(3), kept with e012's coefficients), ``translator``'s t n_inf over
 those with a euclidean vector slot on the left and e_n or e_(n+1) on the
 right (``_translator_pairs``, 6), against the cached n_inf.  Each then takes
 the composed difference on arrays, cos - plane sin (u from ``norm_of``)
-and 1 - t n_inf / 2, so both are the composed products to the byte (a
-non-finite axis or offset stays non-finite, with NaNs on fewer slots).
+and 1 - t n_inf / 2, so both are the composed products to the byte.  A
+non-finite axis, angle or offset is refused (GeometryError) before any
+arithmetic, so no NaN versor and no numpy warning.
 ``flat_rep`` runs its wedges on restricted pairs: ``outer``'s
 pairs with a 1-vector on the right (``_wedge_pairs``), enough for each
 point and for n_inf, since the terms it drops are zeros of up() points
@@ -127,11 +128,10 @@ def up(alg: Algebra, *coords) -> Multivector:
 
 def infinity_pairing(p: Multivector) -> float:
     """p . n_inf, bitwise ``p.scalar_product(n_infinity(alg))``: the same
-    kernel call on the cached coefficients, so a NaN or inf in a slot
-    n_inf zeroes still propagates."""
+    pairing on the cached coefficients, so a NaN or inf in a slot n_inf
+    zeroes still propagates."""
     alg = p.algebra
-    return float(alg.product(alg.pairs["scalar"], p.coeffs,
-                             alg.cached(_n_inf_coeffs))[0])
+    return alg.scalar_product(p.coeffs, alg.cached(_n_inf_coeffs))
 
 
 def is_null(p: Multivector, tol: float = NULL_TOL) -> bool:
@@ -159,9 +159,10 @@ def down(p: Multivector) -> np.ndarray:
 def cga_distance(p: Multivector, q: Multivector) -> float:
     """Euclidean distance via the inner product of normalized null points.
 
-    That pairing, -d^2 / 2, adds products as large as h_p h_q that cancel;
-    where twice its rounding bound, len(pairs) ROUNDING sum |p_i q_i|,
-    exceeds DISTANCE_TOL (1e-6) max(1, d^2), d is refused (GeometryError)."""
+    That pairing, -d^2 / 2, adds products as large as h_p h_q that cancel,
+    one term p_i q_i per slot (every blade squares to +-1); where twice its
+    rounding bound, size ROUNDING sum |p_i q_i|, exceeds DISTANCE_TOL
+    (1e-6) max(1, d^2), d is refused (GeometryError)."""
     p._peer(q)
     for name, x in (("p", p), ("q", q)):
         if not is_null(x, tol=PAIRING_TOL):
@@ -169,9 +170,8 @@ def cga_distance(p: Multivector, q: Multivector) -> float:
         if abs(infinity_pairing(x) + 1.0) > PAIRING_TOL:
             raise GeometryError(f"{name} must be normalized against n_inf")
     d2 = max(0.0, -2.0 * p.scalar_product(q))
-    i = p.algebra.pairs["scalar"].i  # every scalar pair is (i, i)
-    size = abs(p.coeffs[i]) @ abs(q.coeffs[i])
-    if 2.0 * len(i) * ROUNDING * size > DISTANCE_TOL * max(1.0, d2):
+    size = np.abs(p.coeffs) @ np.abs(q.coeffs)
+    if 2.0 * p.algebra.size * ROUNDING * size > DISTANCE_TOL * max(1.0, d2):
         raise GeometryError("points too far from the origin for the null-cone"
                             f" distance: rounding over {DISTANCE_TOL:g} d^2")
     return math.sqrt(d2)
@@ -195,23 +195,29 @@ def _translator_pairs(alg: Algebra) -> Pairs:
 
 def rotor(alg: Algebra, axis, angle: float) -> Multivector:
     """Rotation versor about an axis through the origin, right-handed:
-    cos(angle/2) - e012 u sin(angle/2), u = axis / norm_of(axis)."""
-    u = np.asarray(axis, dtype=float)
+    cos(angle/2) - e012 u sin(angle/2), u = axis / norm_of(axis).  A
+    non-finite axis or angle is refused before any arithmetic."""
+    u, angle = np.asarray(axis, dtype=float), float(angle)
+    if not all(map(math.isfinite, [angle, *u.ravel().tolist()])):
+        raise GeometryError("rotor needs a finite axis and angle")
     nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
     alg.require("cga", 3)
     pairs, e012 = alg.cached(_rotor_pairs)
     plane = alg.product(pairs, e012, euclidean_vector(alg, u / nu).coeffs)
-    half = 0.5 * float(angle)
+    half = 0.5 * angle
     return Multivector(alg, alg.scalar(math.cos(half)).coeffs
                        - plane * math.sin(half))
 
 
 def translator(alg: Algebra, offset) -> Multivector:
-    """Translation versor 1 - (1/2) t n_inf."""
+    """Translation versor 1 - (1/2) t n_inf; a non-finite offset is refused
+    before any arithmetic."""
     pairs = alg.cached(_translator_pairs)
     t = euclidean_vector(alg, offset).coeffs
+    if not all(map(math.isfinite, t.tolist())):
+        raise GeometryError("translator needs a finite offset")
     t_inf = alg.product(pairs, t, alg.cached(_n_inf_coeffs))
     return Multivector(alg, alg.scalar(1.0).coeffs - t_inf * 0.5)
 

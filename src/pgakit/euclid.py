@@ -90,9 +90,18 @@ def euclidean_norm(x: Multivector) -> float:
 
 def euclidean_norm_of(alg: Algebra, coeffs: np.ndarray) -> float:
     """sqrt|<x ~x>_0| from x's coefficients, for callers that hold an
-    array rather than a ``Multivector``."""
-    return math.sqrt(abs(float(alg.product(
-        alg.pairs["scalar"], coeffs, coeffs * alg.reverse_sign)[0])))
+    array rather than a ``Multivector``.  Where that square is a normal
+    float, inf or NaN these are its plain bits; below the normal range the
+    same pairing runs on the coefficients scaled by 2^-e, e the exponent
+    of the largest, and the root is scaled back, so a nonzero euclidean
+    part within 2^511 of the largest slot has a nonzero norm."""
+    sq = abs(alg.scalar_product(coeffs, coeffs * alg.reverse_sign))
+    if not (sq < 2.0 ** -1022 and coeffs.any()):  # the smallest normal float
+        return math.sqrt(sq)
+    e = math.frexp(float(np.abs(coeffs).max()))[1]
+    scaled = np.ldexp(coeffs, -e)
+    return math.ldexp(math.sqrt(abs(alg.scalar_product(
+        scaled, scaled * alg.reverse_sign))), e)
 
 
 def ideal_norm(x: Multivector) -> float:

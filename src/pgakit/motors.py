@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, GAError, GeometryError, Multivector, norm_of
+from .algebra import Algebra, GeometryError, Multivector, norm_of
 from .duality import join, polarity_of
 from .euclid import euclidean_norm, euclidean_norm_of, normalize, point
 
@@ -56,7 +56,7 @@ def _parity(g: Multivector) -> int:
 def _require_unit(alg: Algebra, g: np.ndarray, message: str):
     """A unit norm, NaN failing (``not <=``), and finite coefficients: the
     norm reads only the euclidean slots, never the ideal ones."""
-    square = alg.product(alg.pairs["scalar"], g, g * alg.reverse_sign)[0]
+    square = alg.scalar_product(g, g * alg.reverse_sign)
     if not (abs(square - 1.0) <= VERSOR_TOL
             and all(map(math.isfinite, g.tolist()))):
         raise GeometryError(message)
@@ -108,10 +108,7 @@ def _split(b: Multivector, message: str):
     if grades != (2,) and (grades or not b.is_zero()):
         raise GeometryError(message)
     sq = alg.product(alg.pairs["gp"], c, c)
-    s, size = float(sq[0]), norm_of(c)
-    if s > 1e-12 * max(1.0, size * size):  # ** raises OverflowError
-        raise GAError("bivector square has positive scalar part")
-    alpha = math.sqrt(max(0.0, -s))
+    alpha = math.sqrt(max(0.0, -float(sq[0])))  # bin 0 sums -c^2 terms only
     if alpha < SMALL_ANGLE:
         return alpha, 0.0, np.zeros(alg.size), c
     beta = -float(sq[-1]) / (2.0 * alpha)  # I is the last slot

@@ -302,6 +302,8 @@ def test_scalar_product_is_the_gp_scalar_bitwise(alg):
     i, j, k = scalar.i, scalar.j, scalar.k
     assert np.array_equal(i, j)  # a blade lands on the scalar only with itself
     assert len(k) == {8: 4, 16: 8, 32: 32}[alg.size] and not k.any()
+    if alg.model == "cga":  # every slot, in order: cga_distance's bound
+        assert np.array_equal(i, np.arange(alg.size))
     assert scalar.bins == 1
     # the gp pairs on the scalar slot, in gp's own (i-major) order
     on_scalar = np.flatnonzero(gp.k == 0)
@@ -322,9 +324,11 @@ def test_scalar_product_is_the_gp_scalar_bitwise(alg):
         x, y = alg.from_coeffs(a), alg.from_coeffs(b)
         with np.errstate(all="ignore"):  # overflow, inf * 0, inf - inf
             got, want = x.scalar_product(y), x.gp(y).scalar_part()
-        assert type(got) is float
+            on_arrays = alg.scalar_product(a, b)
+        assert type(got) is float and type(on_arrays) is float
         assert repr(got) == repr(want)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert (np.float64(got).tobytes() == np.float64(want).tobytes()
+                == np.float64(on_arrays).tobytes())
     stranger = ga.cga(3) if alg is not ga.cga(3) else ga.pga(3)
     with pytest.raises(AlgebraMismatch):
         x.scalar_product(stranger.scalar(1.0))

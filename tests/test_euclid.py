@@ -204,6 +204,35 @@ class TestNorms:
                     assert (np.float64(value).tobytes()
                             == np.float64(want).tobytes())
 
+    @pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-320, 5e-324])
+    def test_normalize_a_point_whose_square_underflows(self, pga3, s):
+        # s^2 is subnormal or zero: the plain norm gave a weight of
+        # 1.0000056 at 1e-160, and 0.267 (the ideal norm's) from 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = normalize(point(pga3, 1.0, 2.0, 3.0) * s)
+            assert weight(p) == 1.0
+            assert point_coords(p).tolist() == [1.0, 2.0, 3.0]
+
+    def test_normalize_a_plane_whose_square_underflows(self, pga3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pl = normalize(plane(pga3, 1e-200, 0.0, 0.0, 0.0))
+        assert pl == pga3.blade("e1")  # it was refused as zero
+
+    def test_norm_below_the_normal_range_scales_exactly(self, pga2, pga3, rng):
+        # 2^-k commutes with the norm while every coefficient stays
+        # normal, so the scaled norm is bitwise the plain one scaled,
+        # where the square of the scaled coefficients underflows
+        for alg in (pga2, pga3):
+            for _ in range(200):
+                c = rng.normal(size=alg.size)
+                for k in (520, 700, 1000):
+                    tiny = np.ldexp(c, -k)
+                    assert euclidean_norm_of(alg, tiny) == math.ldexp(
+                        euclidean_norm_of(alg, c), -k)
+            assert euclidean_norm_of(alg, np.zeros(alg.size)) == 0.0
+
     def test_is_ideal(self, pga3):
         assert is_ideal(ideal_plane(pga3))
         assert not is_ideal(plane(pga3, 1.0, 0.0, 0.0, 100.0))

@@ -1,5 +1,8 @@
 """An algebra names its own euclidean model, and every function built for
-one model refuses an algebra of another with GeometryError."""
+one model refuses an algebra of another with GeometryError.  Each model's
+distance has a working range, pinned at its edges."""
+
+import warnings
 
 import pytest
 
@@ -63,3 +66,35 @@ WRONG_MODEL = {
 def test_wrong_model_raises(call):
     with pytest.raises(GeometryError, match="needs a"):
         call()
+
+
+def pga_distance(x: float) -> float:
+    alg = pga(3)
+    return euclid.distance(euclid.point(alg, x, 0.0, 0.0),
+                           euclid.point(alg, x, 1.0, 0.0))
+
+
+def cga_distance(x: float) -> float:
+    alg = cga(3)
+    return conformal.cga_distance(conformal.up(alg, x, 0.0, 0.0),
+                                  conformal.up(alg, x, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("distance, inside, refused", [
+    # the plane-based distance squares no coordinate, so it reads 1.0
+    # past 1.3e154, where such a square overflows, up to the float range
+    (pga_distance, [1e16, 2e154, 1e300], None),
+    # the null-cone pairing cancels products as large as |x|^2 / 2, and
+    # its rounding bound passes 1e-6 d^2 between 129 and 130
+    (cga_distance, [129.0], 130.0),
+], ids=["pga3", "cga3"])
+def test_working_range(distance, inside, refused):
+    """Points 1 apart at (x, 0, 0) and (x, 1, 0): exactly 1.0 inside each
+    model's range, a GeometryError past it, and never a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in inside:
+            assert distance(x) == 1.0
+        if refused is not None:
+            with pytest.raises(GeometryError, match="too far"):
+                distance(refused)
