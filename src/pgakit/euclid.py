@@ -126,15 +126,18 @@ def normalize(x: Multivector) -> Multivector:
     """Scale to unit euclidean norm, or unit ideal norm for ideal input.
 
     Top-grade elements with nonzero weight divide by the signed weight,
-    so points come out with weight exactly +1.
+    so points come out with weight exactly +1.  The grades are read at
+    unit euclidean norm, so a point of any size is one: the floor of 1 in
+    ``significant_grades``' tolerance would drop every slot of a point
+    smaller than that tolerance.
     """
     n = x.algebra.require("pga")
     en = euclidean_norm(x)
     if en > 0.0:
-        w = weight(x)
-        if significant_grades(x) == (n,) and w != 0.0:
+        unit, w = x / en, weight(x)
+        if significant_grades(unit) == (n,) and w != 0.0:
             return x / w
-        return x / en
+        return unit
     inorm = ideal_norm(x)
     if inorm > 0.0:
         return x / inorm

@@ -29,6 +29,15 @@ most ``MAX_DEPTH`` groups and prefix operators open at once; past that
 it is refused where the limit is crossed, whatever the caller's stack
 depth.  Parsing and evaluation are loops over explicit stacks, not
 recursion.
+
+``parse`` keeps the trees of the last ``PARSE_CACHE_SIZE`` distinct texts
+in one LRU cache, shared by every reader: ``construct``, ``eval`` and
+``Algebra.parse`` all call ``parse``, so a repeated text is tokenized and
+built once and every later call returns that same tree.  Sharing is safe
+because every node is a frozen dataclass holding only nodes, strings and
+numbers; a ``ParseError`` is raised on every call and never stored; and
+the cache holds trees, never values, so ``evaluate`` still runs on every
+call, against that call's environment.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +55,7 @@ from .duality import j_map, join, polarity
 
 
 MAX_DEPTH = 100
+PARSE_CACHE_SIZE = 64  # distinct texts whose trees ``parse`` keeps
 
 
 class ParseError(GAError):
@@ -208,6 +219,12 @@ def _reduce(t: _Token, values: list[tuple[Node, int]], unary: bool) -> None:
 
 def parse(src: str) -> Node:
     """Precedence climbing (shunting-yard) over explicit stacks."""
+    # only a str is a key; any other argument is parsed as before, so it
+    # fails as before, never as unhashable
+    return _parsed(src) if type(src) is str else _parse(src)
+
+
+def _parse(src: str) -> Node:
     tokens = iter(_tokenize(src))
     values: list[tuple[Node, int]] = []  # (node, operators on longest path)
     ops: list[_Token] = []  # open prefix operators, brackets, binary operators
@@ -253,6 +270,10 @@ def parse(src: str) -> Node:
                 values.append((GradeSel(node, int(k.text), line=opener.line,
                                         col=opener.col),
                                _nests(opener, depth + 1)))
+
+
+# the one cache of trees, keyed by text; a ParseError is never stored
+_parsed = lru_cache(maxsize=PARSE_CACHE_SIZE)(_parse)
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -62,6 +62,13 @@ def _require_unit(alg: Algebra, g: np.ndarray, message: str):
         raise GeometryError(message)
 
 
+def _require_finite(what: str, *values: float) -> None:
+    """Refuse a non-finite input by name, before any arithmetic on it
+    could warn or spread NaN through the motor."""
+    if not all(map(math.isfinite, values)):
+        raise GeometryError(f"{what} must be finite")
+
+
 def _require_motor_algebra(alg: Algebra) -> None:
     """Screw motors as written here: a plane-based algebra of at most three
     dimensions, where every bivector is simple or a screw b = alpha*u +
@@ -173,15 +180,14 @@ def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
 
 def axis_line(alg: Algebra, center, axis) -> Multivector:
     """Unit line through center, oriented so exp(t*L) screws along +axis."""
-    u = np.asarray(axis, dtype=float)
+    u, c = np.asarray(axis, dtype=float), np.asarray(center, dtype=float)
     # checked before any arithmetic on u, which would warn first: inf / inf
-    if not all(map(math.isfinite, u.ravel().tolist())):
-        raise GeometryError("axis direction must be finite")
+    _require_finite("axis direction", *u.ravel().tolist())
+    _require_finite("axis center", *c.ravel().tolist())
     nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
     u = u / nu
-    c = np.asarray(center, dtype=float)
     line = join(point(alg, *(c + u)), point(alg, *c))
     en = euclidean_norm(line)  # a line, never a point: normalize divides by en
     return line / en if en > 0.0 else normalize(line)
@@ -190,10 +196,13 @@ def axis_line(alg: Algebra, center, axis) -> Multivector:
 def screw_generator(line: Multivector, angle: float, displacement: float) -> Multivector:
     """Bivector whose exp rotates by angle about the unit line and slides
     displacement along it, both right-handed with the line's direction."""
-    half, alg = 0.5 * float(angle), line.algebra
-    gen = line.coeffs * half
+    angle, displacement, alg = float(angle), float(displacement), line.algebra
+    _require_finite("screw angle", angle)
+    _require_finite("screw displacement", displacement)
+    _require_finite("screw line", *line.coeffs.tolist())
+    gen = line.coeffs * (0.5 * angle)
     if displacement:
-        gen = gen - polarity_of(alg, line.coeffs) * (0.5 * float(displacement))
+        gen = gen - polarity_of(alg, line.coeffs) * (0.5 * displacement)
     return Multivector(alg, gen)
 
 
@@ -214,7 +223,10 @@ def rotation_about(alg: Algebra, axis, angle: float, center=None) -> Multivector
 def rotation_about_point(p: Multivector, angle: float) -> Multivector:
     """2D motor turning counterclockwise by angle about a point."""
     p.algebra.require("pga", 2)
-    return exp_bivector(normalize(p) * (-0.5 * float(angle)))
+    angle = float(angle)
+    _require_finite("rotation angle", angle)
+    _require_finite("rotation center", *p.coeffs.tolist())
+    return exp_bivector(normalize(p) * (-0.5 * angle))
 
 
 def translator(alg: Algebra, offset) -> Multivector:
@@ -223,6 +235,7 @@ def translator(alg: Algebra, offset) -> Multivector:
     t = np.asarray(offset, dtype=float)
     if t.shape != (n,):
         raise GeometryError(f"expected {n} components")
+    _require_finite("translator offset", *t.tolist())
     out = alg.scalar(1.0)
     for i, ti in enumerate(t, start=1):
         if ti:

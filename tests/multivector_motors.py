@@ -5,7 +5,8 @@ These are the compositions ``pgakit.motors``, ``duality.polarity`` and
 ``euclid.direction`` used before they ran on coefficient arrays, kept as
 the oracle the array paths must match bit for bit on finite input:
 polarity is a full ``gp`` with the pseudoscalar, and every intermediate
-value is a ``Multivector``.
+value is a ``Multivector``.  The input checks are ``motors``' own, so a
+refused input reads the same on both sides.
 """
 
 import math
@@ -17,7 +18,7 @@ from pgakit.duality import join, meet
 from pgakit.euclid import (euclidean_norm, ideal_direction, ideal_plane,
                            normalize, point)
 from pgakit.motors import (SMALL_ANGLE, VERSOR_TOL, MultivaluedLogError,
-                           _parity, _require_motor_algebra)
+                           _parity, _require_finite, _require_motor_algebra)
 
 
 def polarity(x: Multivector) -> Multivector:
@@ -98,19 +99,21 @@ def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
 
 
 def axis_line(alg, center, axis) -> Multivector:
-    u = np.asarray(axis, dtype=float)
-    if not all(map(math.isfinite, u.ravel().tolist())):
-        raise GeometryError("axis direction must be finite")
+    u, c = np.asarray(axis, dtype=float), np.asarray(center, dtype=float)
+    _require_finite("axis direction", *u.ravel().tolist())
+    _require_finite("axis center", *c.ravel().tolist())
     nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
     u = u / nu
-    c = np.asarray(center, dtype=float)
     return normalize(join(point(alg, *(c + u)), point(alg, *c)))
 
 
 def screw_generator(line: Multivector, angle: float,
                     displacement: float) -> Multivector:
+    _require_finite("screw angle", angle)
+    _require_finite("screw displacement", displacement)
+    _require_finite("screw line", *line.coeffs.tolist())
     half = 0.5 * float(angle)
     gen = line * half
     if displacement:

@@ -494,6 +494,25 @@ class TestNestingLimit:
                             r" too deeply\n", err)
 
 
+@pytest.mark.parametrize("scene", sorted(p.name for p in SCENES.glob("*.json")))
+def test_a_repeated_call_prints_the_same_bytes(capsys, scene):
+    """The second in-process call of a command parses its expression from
+    the cache, and prints what the first, uncached call printed."""
+    path = str(SCENES / scene)
+    names = json.loads((SCENES / scene).read_text())["entities"]
+    for argv in (["construct", "--scene", path],
+                 ["eval", "--scene", path, "e1"],
+                 ["eval", "--scene", path, " & ".join(names) or "e1"]):
+        dsl._parsed.cache_clear()
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[1] == runs[0], argv
+        info = dsl._parsed.cache_info()
+        assert info.hits == info.misses <= 1, argv  # none if refused before
+
+
 def _pgakit_child(argv, unbuffered):
     """``python -m pgakit`` in a child process with piped stdout and
     stderr; ``unbuffered`` is the child's PYTHONUNBUFFERED, None to unset."""

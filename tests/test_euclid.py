@@ -214,6 +214,18 @@ class TestNorms:
             assert weight(p) == 1.0
             assert point_coords(p).tolist() == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("s", [-1e-13, -1e-200, 1e-13, 1e-200])
+    def test_normalize_a_tiny_point_divides_by_its_signed_weight(
+            self, pga3, s):
+        # every slot is below significant_grades' floor of 1e-12, so the
+        # grades are read at unit size: a negative weight read -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = normalize(point(pga3, 1.0, 2.0, 3.0) * s)
+            assert weight(p) == 1.0
+            assert point_coords(p) == pytest.approx([1.0, 2.0, 3.0],
+                                                     rel=1e-15)
+
     def test_normalize_a_plane_whose_square_underflows(self, pga3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

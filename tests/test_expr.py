@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -6,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_mv
-from pgakit import duality, euclid
+from pgakit import duality, euclid, expr
 from pgakit.expr import (
+    PARSE_CACHE_SIZE,
     Binary,
     Blade,
     EvalError,
     GradeSel,
     Name,
+    Node,
     Num,
     ParseError,
     Unary,
@@ -107,6 +110,99 @@ class TestParsing:
         with pytest.raises(ParseError, match="out of range") as err:
             parse("e0 *\n 1e400")
         assert err.value.line == 2 and err.value.col == 2
+
+
+def _nodes(node):
+    """Every node of a tree, pre-order."""
+    out, todo = [], [node]
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        todo += [v for v in vars(n).values() if isinstance(v, Node)]
+    return out
+
+
+class TestParseCache:
+    """``parse`` keeps one bounded cache of trees, keyed by text."""
+
+    TEXT = "((Pi | P) ^ Pi) & P + <~g * x#>2 - !2.5*e12"
+
+    def test_a_repeated_text_is_the_same_tree(self):
+        expr._parsed.cache_clear()
+        first = parse(self.TEXT)
+        assert parse(self.TEXT) is first
+        assert parse("".join(list(self.TEXT))) is first  # an equal str hits
+        fresh = expr._parse(self.TEXT)
+        assert first == fresh and first is not fresh
+        # positions too, which == leaves out
+        assert ([(n.line, n.col) for n in _nodes(first)]
+                == [(n.line, n.col) for n in _nodes(fresh)])
+        assert expr._parsed.cache_info()[:2] == (2, 1)  # hits, misses
+
+    @pytest.mark.parametrize("src", ["a ^\n  b @ c", "(a ^ b", "<a>1.5",
+                                     "e0 *\n 1e400", ""],
+                             ids=["character", "bracket", "grade", "number",
+                                  "empty"])
+    def test_a_bad_text_raises_on_every_call(self, src):
+        expr._parsed.cache_clear()
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                parse(src)
+            raised.append((str(err.value), err.value.line, err.value.col))
+        assert raised == raised[:1] * 3
+        assert expr._parsed.cache_info().currsize == 0
+
+    def test_the_cache_keeps_at_most_its_bound(self):
+        expr._parsed.cache_clear()
+        texts = [f"{i}.0*e1" for i in range(3 * PARSE_CACHE_SIZE)]
+        oldest = parse(texts[0])
+        for text in texts:
+            parse(text)
+        info = expr._parsed.cache_info()
+        assert info.maxsize == info.currsize == PARSE_CACHE_SIZE
+        # the least recently used text went first, and is built again
+        again = parse(texts[0])
+        assert again == oldest and again is not oldest
+
+    def test_nodes_are_immutable(self):
+        nodes = _nodes(parse(self.TEXT))
+        assert {type(n) for n in nodes} == {Num, Blade, Name, Unary,
+                                            GradeSel, Binary}
+        for node in nodes:
+            for f in dataclasses.fields(node):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, f.name, None)
+
+    # the exception types parse raised before it had a cache: an argument
+    # with no len, or that the tokenizer cannot match, is a TypeError; an
+    # empty one reads as an empty text
+    @pytest.mark.parametrize("arg, error", [
+        (None, TypeError), (3, TypeError), (2.5, TypeError),
+        (b"e1", TypeError), (["e1"], TypeError), (("e1",), TypeError),
+        (b"", ParseError), ([], ParseError), (bytearray(), ParseError),
+        ((), ParseError), ({}, ParseError),
+    ], ids=["None", "int", "float", "bytes", "list", "tuple", "empty-bytes",
+            "empty-list", "empty-bytearray", "empty-tuple", "empty-dict"])
+    def test_a_non_str_argument_fails_as_before(self, arg, error):
+        expr._parsed.cache_clear()
+        with pytest.raises(error):
+            parse(arg)
+        assert expr._parsed.cache_info()[:2] == (0, 0)  # not looked up
+
+    def test_algebra_parse_shares_the_cache(self, pga3):
+        text = "1.5 + 2.0*e01 - 0.25*e123"
+        expr._parsed.cache_clear()
+        x = pga3.parse(text)
+        assert parse(text) is parse(text)
+        assert expr._parsed.cache_info()[:2] == (2, 1)
+        assert pga3.parse(text).coeffs.tobytes() == x.coeffs.tobytes()
+
+    def test_a_shared_tree_is_evaluated_on_every_call(self, pga3):
+        p, q = euclid.point(pga3, 1.0, 2.0, 3.0), euclid.point(pga3, -1.0, 0.0, 2.0)
+        for x in (p, q, p):
+            got = evaluate(parse("2.0 * P"), pga3, {"P": x})
+            assert got.coeffs.tobytes() == (x.coeffs * 2.0).tobytes()
 
 
 def _parses_to_itself(text):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -392,6 +393,67 @@ class TestNonFiniteVersors:
         with pytest.raises(GeometryError) as err:
             reflect(mirror, point(pga3, 1.0, 2.0, 3.0))
         assert str(err.value) == "mirror must have unit euclidean norm"
+
+
+class TestNonFiniteInput:
+    """Each motor constructor refuses a non-finite input by name, before
+    any arithmetic: no numpy warning, and no NaN or inf motor."""
+
+    CASES = {
+        "translator": (
+            "translator offset",
+            lambda A2, A3, bad: translator(A3, [bad, 0.0, 0.0])),
+        "screw-angle": (
+            "screw angle",
+            lambda A2, A3, bad: motor_from_screw(A3, [1, 0, 0], [0, 1, 0], bad)),
+        "screw-displacement": (
+            "screw displacement",
+            lambda A2, A3, bad: motor_from_screw(A3, [1, 0, 0], [0, 1, 0],
+                                                 0.9, bad)),
+        "screw-center": (
+            "axis center",
+            lambda A2, A3, bad: motor_from_screw(A3, [1, bad, 0], [0, 1, 0],
+                                                 0.9, 0.4)),
+        "rotation-angle": (
+            "screw angle",
+            lambda A2, A3, bad: rotation_about(A3, [0, 0, 1], bad)),
+        "rotation-about-point-angle": (
+            "rotation angle",
+            lambda A2, A3, bad: rotation_about_point(point(A2, 1.0, 2.0), bad)),
+        "rotation-about-point-center": (
+            "rotation center",
+            lambda A2, A3, bad: rotation_about_point(point(A2, bad, 2.0), 0.9)),
+        "generator-angle": (
+            "screw angle",
+            lambda A2, A3, bad: screw_generator(
+                axis_line(A3, [0, 0, 0], [0, 0, 1]), bad, 0.0)),
+        "generator-displacement": (
+            "screw displacement",
+            lambda A2, A3, bad: screw_generator(
+                axis_line(A3, [0, 0, 0], [0, 0, 1]), 0.9, bad)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_refused_by_name(self, pga2, pga3, case, bad):
+        what, make = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError) as err:
+                make(pga2, pga3, bad)
+        assert str(err.value) == f"{what} must be finite"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_generator_refuses_a_non_finite_line(self, pga3, bad):
+        line = axis_line(pga3, [0, 0, 0], [0, 0, 1])
+        line.coeffs[pga3.pos_of_name("e12")] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError,
+                               match="^screw line must be finite$"):
+                screw_generator(line, 0.9, 0.4)
 
 
 class TestMotorDimensions:
