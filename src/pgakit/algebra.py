@@ -359,6 +359,25 @@ def _cayley(alg: Algebra) -> np.ndarray:
     return c
 
 
+def require_finite(values, message: str) -> None:
+    """Raise ``GeometryError(message)`` unless every float in ``values`` is
+    finite.  Entry points run it on their input before any arithmetic, where
+    an inf times a table's zero would warn and give NaN.  Callers pass an
+    array as its ``tolist()``: ``math.isfinite`` over a list costs about
+    half of ``np.isfinite(c).all()`` on these short arrays."""
+    if not all(map(math.isfinite, values)):
+        raise GeometryError(message)
+
+
+def rescaled(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c 2^-e, e), e the exponent of the largest |c_i|, so that slot lands
+    in [1/2, 1).  The shift is exact but for slots it takes below the
+    smallest subnormal, so a homogeneous element, a flat read up to scale,
+    is the same element after it.  NaN and inf leave c as it is (e = 0)."""
+    e = math.frexp(float(np.abs(c).max()))[1]
+    return np.ldexp(c, -e), e
+
+
 def norm_of(c: np.ndarray) -> float:
     """2-norm of the float array c: ``np.linalg.norm``'s bits (its ``dot``,
     here ``vdot``, which does not warn) where the sum of squares is a normal

@@ -39,9 +39,7 @@ cga(3), kept with e012's coefficients), ``translator``'s t n_inf over
 those with a euclidean vector slot on the left and e_n or e_(n+1) on the
 right (``_translator_pairs``, 6), against the cached n_inf.  Each then takes
 the composed difference on arrays, cos - plane sin (u from ``norm_of``)
-and 1 - t n_inf / 2, so both are the composed products to the byte.  A
-non-finite axis, angle or offset is refused (GeometryError) before any
-arithmetic, so no NaN versor and no numpy warning.
+and 1 - t n_inf / 2, so both are the composed products to the byte.
 ``flat_rep`` runs its wedges on restricted pairs: ``outer``'s
 pairs with a 1-vector on the right (``_wedge_pairs``), enough for each
 point and for n_inf, since the terms it drops are zeros of up() points
@@ -57,7 +55,8 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, Pairs, cga, norm_of
+from .algebra import (Algebra, GeometryError, Multivector, Pairs, cga, norm_of,
+                      require_finite)
 
 NULL_TOL = 1e-12
 PAIRING_TOL = 1e-9
@@ -195,11 +194,10 @@ def _translator_pairs(alg: Algebra) -> Pairs:
 
 def rotor(alg: Algebra, axis, angle: float) -> Multivector:
     """Rotation versor about an axis through the origin, right-handed:
-    cos(angle/2) - e012 u sin(angle/2), u = axis / norm_of(axis).  A
-    non-finite axis or angle is refused before any arithmetic."""
+    cos(angle/2) - e012 u sin(angle/2), u = axis / norm_of(axis)."""
     u, angle = np.asarray(axis, dtype=float), float(angle)
-    if not all(map(math.isfinite, [angle, *u.ravel().tolist()])):
-        raise GeometryError("rotor needs a finite axis and angle")
+    require_finite([angle, *u.ravel().tolist()],
+                   "rotor needs a finite axis and angle")
     nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
@@ -212,12 +210,10 @@ def rotor(alg: Algebra, axis, angle: float) -> Multivector:
 
 
 def translator(alg: Algebra, offset) -> Multivector:
-    """Translation versor 1 - (1/2) t n_inf; a non-finite offset is refused
-    before any arithmetic."""
+    """Translation versor 1 - (1/2) t n_inf."""
     pairs = alg.cached(_translator_pairs)
     t = euclidean_vector(alg, offset).coeffs
-    if not all(map(math.isfinite, t.tolist())):
-        raise GeometryError("translator needs a finite offset")
+    require_finite(t.tolist(), "translator needs a finite offset")
     t_inf = alg.product(pairs, t, alg.cached(_n_inf_coeffs))
     return Multivector(alg, alg.scalar(1.0).coeffs - t_inf * 0.5)
 

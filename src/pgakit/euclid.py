@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, GAError, GeometryError, Multivector, norm_of
+from .algebra import (Algebra, GAError, GeometryError, Multivector, norm_of,
+                      require_finite, rescaled)
 from .duality import join
 
 CROSS_CHECK_TOL = 1e-12
@@ -25,6 +26,7 @@ INCIDENCE_TOL = 1e-9
 NORMALIZED_TOL = 1e-9
 JUNK_TOL = 1e-12
 EPSILON = 2.0 ** -52  # spacing of floats at 1.0
+NO_DIRECTION = "a flat with a non-finite coefficient has no direction"
 
 
 def significant_grades(x: "Multivector") -> tuple:
@@ -98,8 +100,7 @@ def euclidean_norm_of(alg: Algebra, coeffs: np.ndarray) -> float:
     sq = abs(alg.scalar_product(coeffs, coeffs * alg.reverse_sign))
     if not (sq < 2.0 ** -1022 and coeffs.any()):  # the smallest normal float
         return math.sqrt(sq)
-    e = math.frexp(float(np.abs(coeffs).max()))[1]
-    scaled = np.ldexp(coeffs, -e)
+    scaled, e = rescaled(coeffs)
     return math.ldexp(math.sqrt(abs(alg.scalar_product(
         scaled, scaled * alg.reverse_sign))), e)
 
@@ -147,31 +148,23 @@ def normalize(x: Multivector) -> Multivector:
 def point_coords(p: Multivector) -> np.ndarray:
     """Cartesian coordinates of a (not necessarily unit-weight) point.
 
-    The point is refused only where a coefficient is not finite (before
-    any arithmetic: an inf slot times the table's zeros is NaN), or where
-    its weight w is within rounding of zero against its own ideal slots
+    The point is refused where a coefficient is not finite, or where its
+    weight w is within rounding of zero against its own ideal slots
     w x_i, |w| <= 2^-52 max |w x_i|.  So a far point keeps its
     coordinates, up to |x| = 2^52 for a unit weight."""
-    if all(map(math.isfinite, p.coeffs.tolist())):
-        w = weight(p)
-        scaled = p.algebra.cached(_coord_table) @ p.coeffs
-        if abs(w) > EPSILON * np.abs(scaled).max():
-            return scaled / w
-    raise GeometryError("ideal point has no cartesian coordinates")
+    message = "ideal point has no cartesian coordinates"
+    require_finite(p.coeffs.tolist(), message)
+    w = weight(p)
+    scaled = p.algebra.cached(_coord_table) @ p.coeffs
+    if abs(w) <= EPSILON * np.abs(scaled).max():
+        raise GeometryError(message)
+    return scaled / w
 
 
 def ideal_direction(p: Multivector) -> np.ndarray:
     """Direction vector packed in an ideal point (a weight-zero point)."""
-    _require_finite(p)
+    require_finite(p.coeffs.tolist(), NO_DIRECTION)
     return p.algebra.cached(_coord_table) @ p.coeffs
-
-
-def _require_finite(flat: Multivector):
-    """Refuse, as ``point_coords`` does, a non-finite coefficient before a
-    table's zeros multiply it: inf * 0 would warn and give NaN."""
-    if not all(map(math.isfinite, flat.coeffs.tolist())):
-        raise GeometryError("a flat with a non-finite coefficient has no"
-                            " direction")
 
 
 def _coord_table(alg: Algebra) -> np.ndarray:
@@ -194,7 +187,7 @@ def _e0_coeffs(alg: Algebra) -> np.ndarray:
 def direction(flat: Multivector) -> np.ndarray:
     """Direction of a line: its ideal point flat ^ e0, as a vector."""
     alg = flat.algebra
-    _require_finite(flat)
+    require_finite(flat.coeffs.tolist(), NO_DIRECTION)
     ideal = alg.product(alg.pairs["outer"], flat.coeffs, alg.cached(_e0_coeffs))
     return alg.cached(_coord_table) @ ideal
 
@@ -238,8 +231,7 @@ def angle(u: Multivector, v: Multivector) -> float:
     for name, x in (("u", u), ("v", v)):
         if significant_grades(x) != (1,):
             raise GeometryError(f"{name} is not a 1-vector")
-        if not all(map(math.isfinite, x.coeffs.tolist())):
-            raise GeometryError(f"{name} is not finite")
+        require_finite(x.coeffs.tolist(), f"{name} is not finite")
         if abs(euclidean_norm(x) - 1.0) > NORMALIZED_TOL:
             raise GeometryError(f"{name} must have unit euclidean norm")
     c = u.scalar_product(v)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, norm_of
+from .algebra import Algebra, GeometryError, Multivector, norm_of, require_finite
 from .duality import join, polarity_of
 from .euclid import euclidean_norm, euclidean_norm_of, normalize, point
 
@@ -54,19 +54,11 @@ def _parity(g: Multivector) -> int:
 
 
 def _require_unit(alg: Algebra, g: np.ndarray, message: str):
-    """A unit norm, NaN failing (``not <=``), and finite coefficients: the
+    """Finite coefficients and a unit norm, NaN failing (``not <=``): the
     norm reads only the euclidean slots, never the ideal ones."""
-    square = alg.scalar_product(g, g * alg.reverse_sign)
-    if not (abs(square - 1.0) <= VERSOR_TOL
-            and all(map(math.isfinite, g.tolist()))):
+    require_finite(g.tolist(), message)
+    if not abs(alg.scalar_product(g, g * alg.reverse_sign) - 1.0) <= VERSOR_TOL:
         raise GeometryError(message)
-
-
-def _require_finite(what: str, *values: float) -> None:
-    """Refuse a non-finite input by name, before any arithmetic on it
-    could warn or spread NaN through the motor."""
-    if not all(map(math.isfinite, values)):
-        raise GeometryError(f"{what} must be finite")
 
 
 def _require_motor_algebra(alg: Algebra) -> None:
@@ -82,10 +74,10 @@ def reflect(mirror: Multivector, x: Multivector) -> Multivector:
     """Reflection in a unit hyperplane, the two-sided product a x a."""
     if mirror.grades_present() != (1,):
         raise GeometryError("mirror must be a 1-vector")
-    defect = abs(euclidean_norm(mirror) - 1.0)
-    if not (defect <= VERSOR_TOL
-            and all(map(math.isfinite, mirror.coeffs.tolist()))):
-        raise GeometryError("mirror must have unit euclidean norm")
+    message = "mirror must have unit euclidean norm"
+    require_finite(mirror.coeffs.tolist(), message)
+    if not abs(euclidean_norm(mirror) - 1.0) <= VERSOR_TOL:
+        raise GeometryError(message)
     return mirror.gp(x).gp(mirror)
 
 
@@ -181,9 +173,8 @@ def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
 def axis_line(alg: Algebra, center, axis) -> Multivector:
     """Unit line through center, oriented so exp(t*L) screws along +axis."""
     u, c = np.asarray(axis, dtype=float), np.asarray(center, dtype=float)
-    # checked before any arithmetic on u, which would warn first: inf / inf
-    _require_finite("axis direction", *u.ravel().tolist())
-    _require_finite("axis center", *c.ravel().tolist())
+    require_finite(u.ravel().tolist(), "axis direction must be finite")
+    require_finite(c.ravel().tolist(), "axis center must be finite")
     nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
@@ -197,9 +188,9 @@ def screw_generator(line: Multivector, angle: float, displacement: float) -> Mul
     """Bivector whose exp rotates by angle about the unit line and slides
     displacement along it, both right-handed with the line's direction."""
     angle, displacement, alg = float(angle), float(displacement), line.algebra
-    _require_finite("screw angle", angle)
-    _require_finite("screw displacement", displacement)
-    _require_finite("screw line", *line.coeffs.tolist())
+    require_finite([angle], "screw angle must be finite")
+    require_finite([displacement], "screw displacement must be finite")
+    require_finite(line.coeffs.tolist(), "screw line must be finite")
     gen = line.coeffs * (0.5 * angle)
     if displacement:
         gen = gen - polarity_of(alg, line.coeffs) * (0.5 * displacement)
@@ -224,8 +215,8 @@ def rotation_about_point(p: Multivector, angle: float) -> Multivector:
     """2D motor turning counterclockwise by angle about a point."""
     p.algebra.require("pga", 2)
     angle = float(angle)
-    _require_finite("rotation angle", angle)
-    _require_finite("rotation center", *p.coeffs.tolist())
+    require_finite([angle], "rotation angle must be finite")
+    require_finite(p.coeffs.tolist(), "rotation center must be finite")
     return exp_bivector(normalize(p) * (-0.5 * angle))
 
 
@@ -235,7 +226,7 @@ def translator(alg: Algebra, offset) -> Multivector:
     t = np.asarray(offset, dtype=float)
     if t.shape != (n,):
         raise GeometryError(f"expected {n} components")
-    _require_finite("translator offset", *t.tolist())
+    require_finite(t.tolist(), "translator offset must be finite")
     out = alg.scalar(1.0)
     for i, ti in enumerate(t, start=1):
         if ti:

@@ -13,12 +13,13 @@ import math
 
 import numpy as np
 
-from pgakit.algebra import GAError, GeometryError, Multivector, norm_of
+from pgakit.algebra import (GAError, GeometryError, Multivector, norm_of,
+                            require_finite)
 from pgakit.duality import join, meet
 from pgakit.euclid import (euclidean_norm, ideal_direction, ideal_plane,
                            normalize, point)
 from pgakit.motors import (SMALL_ANGLE, VERSOR_TOL, MultivaluedLogError,
-                           _parity, _require_finite, _require_motor_algebra)
+                           _parity, _require_motor_algebra)
 
 
 def polarity(x: Multivector) -> Multivector:
@@ -100,8 +101,8 @@ def screw_split(b: Multivector) -> tuple[Multivector, Multivector]:
 
 def axis_line(alg, center, axis) -> Multivector:
     u, c = np.asarray(axis, dtype=float), np.asarray(center, dtype=float)
-    _require_finite("axis direction", *u.ravel().tolist())
-    _require_finite("axis center", *c.ravel().tolist())
+    require_finite(u.ravel().tolist(), "axis direction must be finite")
+    require_finite(c.ravel().tolist(), "axis center must be finite")
     nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
@@ -111,9 +112,9 @@ def axis_line(alg, center, axis) -> Multivector:
 
 def screw_generator(line: Multivector, angle: float,
                     displacement: float) -> Multivector:
-    _require_finite("screw angle", angle)
-    _require_finite("screw displacement", displacement)
-    _require_finite("screw line", *line.coeffs.tolist())
+    require_finite([angle], "screw angle must be finite")
+    require_finite([displacement], "screw displacement must be finite")
+    require_finite(line.coeffs.tolist(), "screw line must be finite")
     half = 0.5 * float(angle)
     gen = line * half
     if displacement:
