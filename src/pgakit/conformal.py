@@ -247,14 +247,16 @@ def flat_rep(x: Multivector) -> Multivector:
     """Conformal blade of a degenerate-model flat: representative points
     sent through up() and wedged with n_inf.
 
-    The output is determined by the flat only up to scale; the sampling
-    (foot of the origin perpendicular, unit steps along the flat) is
-    deterministic so repeated calls agree exactly.
+    The output is determined by the flat only up to scale, so the flat is
+    read ``euclid.in_band``; the sampling (foot of the origin perpendicular,
+    unit steps along the flat) is deterministic so repeated calls agree
+    exactly.
     """
     from . import euclid
 
     alg_in = x.algebra
     alg_in.require("pga", 3)
+    x = euclid.in_band(x)
     out = cga(3)
     if euclid.is_ideal(x):
         raise GeometryError("ideal flats lie outside the embedding")

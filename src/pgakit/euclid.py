@@ -108,19 +108,21 @@ def euclidean_norm_of(alg: Algebra, coeffs: np.ndarray) -> float:
 def ideal_norm(x: Multivector) -> float:
     """Euclidean size of the e0-carrying complement part."""
     x.algebra.require("pga")
-    return norm_of(x.coeffs[x.algebra.cached(_ideal_mask)])
+    return norm_of(x.coeffs[x.algebra.cached(_slots)[1]])
 
 
-def _ideal_mask(alg: Algebra) -> np.ndarray:
-    return np.array([bool(m & 1) for m in alg.mask_of])
+def _slots(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the euclidean slots and of the ideal (e0) ones."""
+    ideal = np.array([bool(m & 1) for m in alg.mask_of])
+    return np.flatnonzero(~ideal), np.flatnonzero(ideal)
 
 
 def is_ideal(x: Multivector) -> bool:
     """max |x_E| <= 2^-52 max |x_ideal| (``point_coords``' weight test, no
     squares): true from about 2^52 away from the origin on, and for every
     ideal flat, whose euclidean slots products leave exactly zero."""
-    ideal, size = x.algebra.cached(_ideal_mask), np.abs(x.coeffs)
-    return size[~ideal].max() <= EPSILON * size[ideal].max()
+    (euclidean, ideal), size = x.algebra.cached(_slots), np.abs(x.coeffs)
+    return size[euclidean].max() <= EPSILON * size[ideal].max()
 
 
 def normalize(x: Multivector) -> Multivector:
@@ -131,10 +133,20 @@ def normalize(x: Multivector) -> Multivector:
     unit euclidean norm, so a point of any size is one: the floor of 1 in
     ``significant_grades``' tolerance would drop every slot of a point
     smaller than that tolerance.
+
+    A flat whose euclidean square is not a normal float is read shifted
+    by a power of two (``rescaled``), the same flat.  Where its euclidean
+    part is then still below 2^-512, or below 2^-1023 of the whole, so
+    that its square or its unit form would leave the float range, the
+    flat is ideal to float precision and takes the ideal norm.
     """
     n = x.algebra.require("pga")
+    require_finite(x.coeffs.tolist(), "cannot normalize a non-finite flat")
+    size = norm_of(x.coeffs[x.algebra.cached(_slots)[0]])
+    if not 2.0 ** -511 <= size < 2.0 ** 511:
+        x = Multivector(x.algebra, rescaled(x.coeffs)[0])
     en = euclidean_norm(x)
-    if en > 0.0:
+    if en >= 2.0 ** -512 and x.norm() < en * 2.0 ** 1023:
         unit, w = x / en, weight(x)
         if significant_grades(unit) == (n,) and w != 0.0:
             return x / w
@@ -239,12 +251,25 @@ def angle(u: Multivector, v: Multivector) -> float:
 
 
 def incident(x: Multivector, y: Multivector) -> bool:
-    """Incidence test; the residual tolerance scales with both weights."""
+    """Incidence test; the residual tolerance scales with both weights,
+    and each flat is read ``in_band``, so its products with the other
+    neither overflow nor underflow."""
     x._peer(y)
-    d = x.algebra.gens
+    x, y = in_band(x), in_band(y)
     gx, gy = sum(significant_grades(x)), sum(significant_grades(y))
-    prod = x.outer(y) if gx + gy <= d else join(x, y)
+    prod = x.outer(y) if gx + gy <= x.algebra.gens else join(x, y)
     return prod.norm() <= INCIDENCE_TOL * max(1e-30, x.norm() * y.norm())
+
+
+def in_band(x: Multivector) -> Multivector:
+    """x, or x shifted by a power of two (``rescaled``) where its norm lies
+    outside 2^-500..2^500: the same flat for a reader that takes it up to
+    scale, and one whose products with another such flat stay normal.  A
+    non-finite norm is refused here, off the in-band path."""
+    if 2.0 ** -500 <= x.norm() < 2.0 ** 500:
+        return x
+    require_finite(x.coeffs.tolist(), "a non-finite flat has no scale")
+    return Multivector(x.algebra, rescaled(x.coeffs)[0])
 
 
 def perpendicular_through_point(line: Multivector, p: Multivector) -> Multivector:
@@ -263,8 +288,9 @@ def perpendicular_through_point(line: Multivector, p: Multivector) -> Multivecto
 
 
 def flat_kind(x: Multivector) -> str:
+    """The flat's name by its grade, read ``in_band``."""
     n = x.algebra.require("pga")
-    grades = significant_grades(x)
+    grades = significant_grades(in_band(x))
     if grades == (1,):
         return "plane" if n == 3 else "line"
     if grades == (2,):

@@ -100,19 +100,21 @@ def _split(b: Multivector, message: str):
     """alpha, beta and the commuting parts (alpha*u, beta*u*I) of the
     bivector b = alpha*u + beta*u*I, u a unit euclidean line, read from
     b*b = -alpha^2 - 2*alpha*beta*I and b*I = alpha*u*I.  An alpha below
-    SMALL_ANGLE takes b as purely ideal: parts (0, b), as arrays."""
+    SMALL_ANGLE takes b as purely ideal: parts (0, b), as arrays.  A
+    norm of 2^500 or more, inf or NaN is refused before b*b: below it,
+    b*b and beta / alpha (alpha >= SMALL_ANGLE) stay finite."""
     alg, c = b.algebra, b.coeffs
     _require_motor_algebra(alg)
     grades = b.grades_present()  # () for zero, and for NaN-only b
     if grades != (2,) and (grades or not b.is_zero()):
         raise GeometryError(message)
+    if not norm_of(c) < 2.0 ** 500:
+        raise GeometryError("bivector too large: its square is not finite")
     sq = alg.product(alg.pairs["gp"], c, c)
     alpha = math.sqrt(max(0.0, -float(sq[0])))  # bin 0 sums -c^2 terms only
     if alpha < SMALL_ANGLE:
         return alpha, 0.0, np.zeros(alg.size), c
     beta = -float(sq[-1]) / (2.0 * alpha)  # I is the last slot
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise GeometryError("bivector too large: its square is not finite")
     ideal = polarity_of(alg, c) * (beta / alpha)
     return alpha, beta, c - ideal, ideal
 

@@ -48,6 +48,8 @@ def _split(b: Multivector, message: str):
     _require_motor_algebra(alg)
     if not b.is_zero() and b.grades_present() != (2,):
         raise GeometryError(message)
+    if not norm_of(b.coeffs) < 2.0 ** 500:
+        raise GeometryError("bivector too large: its square is not finite")
     sq = b.gp(b)
     s, size = sq.scalar_part(), b.norm()
     if s > 1e-12 * max(1.0, size * size):
@@ -56,8 +58,6 @@ def _split(b: Multivector, message: str):
     if alpha < SMALL_ANGLE:
         return alpha, 0.0, alg.zero(), b
     beta = -float(sq.coeffs[-1]) / (2.0 * alpha)
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise GeometryError("bivector too large: its square is not finite")
     ideal = polarity(b) * (beta / alpha)
     return alpha, beta, b - ideal, ideal
 

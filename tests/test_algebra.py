@@ -585,7 +585,7 @@ def test_shared_tables_are_read_only(pga2, pga3, cga3):
     assert built >= {
         "pgakit.algebra._cayley", "pgakit.duality._tables",
         "pgakit.duality._join_pairs", "pgakit.duality._polarity_pairs",
-        "pgakit.euclid._ideal_mask", "pgakit.euclid._coord_table",
+        "pgakit.euclid._slots", "pgakit.euclid._coord_table",
         "pgakit.euclid._e0_coeffs", "pgakit.dynamics._generator_basis",
         "pgakit.dynamics._even_positions", "pgakit.dynamics._tables",
         "pgakit.conformal._null_slots", "pgakit.conformal._n_inf_coeffs",

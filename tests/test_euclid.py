@@ -30,7 +30,7 @@ from pgakit.euclid import (
     point_coords,
     weight,
 )
-from pgakit.euclid import _ideal_mask
+from pgakit.euclid import _slots
 
 COORDS = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -278,7 +278,7 @@ class TestIsIdeal:
                 assert is_ideal(polarity(plane(alg, *rng.normal(size=n + 1))))
                 ideal_line = alg.from_coeffs(
                     np.where(alg.grades == n - 1, rng.normal(size=alg.size), 0.0)
-                    * alg.cached(_ideal_mask))
+                    * np.isin(np.arange(alg.size), alg.cached(_slots)[1]))
                 moved = sandwich(random_motor(alg, rng), ideal_line)
                 assert is_ideal(moved) and is_ideal(ideal_line)
                 assert not is_ideal(point(alg, *x))
