@@ -251,14 +251,14 @@ def angle(u: Multivector, v: Multivector) -> float:
 
 
 def incident(x: Multivector, y: Multivector) -> bool:
-    """Incidence test; the residual tolerance scales with both weights,
-    and each flat is read ``in_band``, so its products with the other
-    neither overflow nor underflow."""
+    """Incidence test; the residual tolerance scales with both norms, with
+    no floor, and each flat is read ``in_band``, so its products with the
+    other neither overflow nor underflow."""
     x._peer(y)
     x, y = in_band(x), in_band(y)
     gx, gy = sum(significant_grades(x)), sum(significant_grades(y))
     prod = x.outer(y) if gx + gy <= x.algebra.gens else join(x, y)
-    return prod.norm() <= INCIDENCE_TOL * max(1e-30, x.norm() * y.norm())
+    return prod.norm() <= INCIDENCE_TOL * (x.norm() * y.norm())
 
 
 def in_band(x: Multivector) -> Multivector:

@@ -182,8 +182,10 @@ def axis_line(alg: Algebra, center, axis) -> Multivector:
         raise GeometryError("axis direction must be nonzero")
     u = u / nu
     line = join(point(alg, *(c + u)), point(alg, *c))
-    en = euclidean_norm(line)  # a line, never a point: normalize divides by en
-    return line / en if en > 0.0 else normalize(line)
+    # a line, never a point, so normalize divides by en; it also refuses a
+    # line whose join overflowed, where line / en would carry the NaN on
+    en = euclidean_norm(line)
+    return line / en if en > 0.0 and line.norm() < math.inf else normalize(line)
 
 
 def screw_generator(line: Multivector, angle: float, displacement: float) -> Multivector:

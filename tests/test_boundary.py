@@ -119,6 +119,10 @@ ROWS = {
         lambda: incident(plane(P3, 0.0, 1.0, 0.0, 0.0) * 1e-200,
                          point(P3, 0.0, 1.0, 2.0) * 1e-200),
         _not_incident),
+    "incident of a small plane and a small point off it": (
+        lambda: incident(plane(P3, 0.0, 1.0, 0.0, 0.0) * 1e-20,
+                         point(P3, 0.0, 1.0, 2.0) * 1e-20),
+        _not_incident),
     "flat_rep of a plane whose square overflows": (
         lambda: flat_rep(plane(P3, 1e200, 0.0, 0.0, 1.0)),
         _plane_x_is_minus_1e_200),
