@@ -31,7 +31,7 @@ NO_DIRECTION = "a flat with a non-finite coefficient has no direction"
 
 def significant_grades(x: "Multivector") -> tuple:
     """Grades present after dropping versor-sandwich rounding residue."""
-    return x.grades_present(tol=JUNK_TOL * max(1.0, x.norm()))
+    return x.grades_present(tol=JUNK_TOL * x.norm())
 
 
 def plane(alg: Algebra, *coeffs: float) -> Multivector:
@@ -93,14 +93,16 @@ def euclidean_norm(x: Multivector) -> float:
 def euclidean_norm_of(alg: Algebra, coeffs: np.ndarray) -> float:
     """sqrt|<x ~x>_0| from x's coefficients, for callers that hold an
     array rather than a ``Multivector``.  Where that square is a normal
-    float, inf or NaN these are its plain bits; below the normal range the
-    same pairing runs on the coefficients scaled by 2^-e, e the exponent
-    of the largest, and the root is scaled back, so a nonzero euclidean
-    part within 2^511 of the largest slot has a nonzero norm."""
+    float, inf or NaN these are its plain bits.  Below the normal range the
+    same pairing runs on the slots it reads, ``alg.pairs["scalar"].i``,
+    shifted by 2^-e, e the exponent of the largest of them, and the root is
+    shifted back, so a nonzero euclidean part has its norm to rounding."""
     sq = abs(alg.scalar_product(coeffs, coeffs * alg.reverse_sign))
-    if not (sq < 2.0 ** -1022 and coeffs.any()):  # the smallest normal float
+    if not sq < 2.0 ** -1022:  # the smallest normal float
         return math.sqrt(sq)
-    scaled, e = rescaled(coeffs)
+    # the slots read, the rest zero: a slot the pairing skips could overflow
+    read = alg.pairs["scalar"].i
+    scaled, e = rescaled(np.bincount(read, coeffs[read], minlength=alg.size))
     return math.ldexp(math.sqrt(abs(alg.scalar_product(
         scaled, scaled * alg.reverse_sign))), e)
 
@@ -112,9 +114,9 @@ def ideal_norm(x: Multivector) -> float:
 
 
 def _slots(alg: Algebra) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the euclidean slots and of the ideal (e0) ones."""
-    ideal = np.array([bool(m & 1) for m in alg.mask_of])
-    return np.flatnonzero(~ideal), np.flatnonzero(ideal)
+    """Positions of the euclidean slots, the ones ``<x ~x>_0`` reads, and
+    of the ideal (e0) ones."""
+    return alg.pairs["scalar"].i, np.flatnonzero(np.array(alg.mask_of) & 1)
 
 
 def is_ideal(x: Multivector) -> bool:
@@ -129,32 +131,34 @@ def normalize(x: Multivector) -> Multivector:
     """Scale to unit euclidean norm, or unit ideal norm for ideal input.
 
     Top-grade elements with nonzero weight divide by the signed weight,
-    so points come out with weight exactly +1.  The grades are read at
-    unit euclidean norm, so a point of any size is one: the floor of 1 in
-    ``significant_grades``' tolerance would drop every slot of a point
-    smaller than that tolerance.
+    so points come out with weight exactly +1; the grades are read on the
+    unit euclidean form.
 
-    A flat whose euclidean square is not a normal float is read shifted
-    by a power of two (``rescaled``), the same flat.  Where its euclidean
-    part is then still below 2^-512, or below 2^-1023 of the whole, so
-    that its square or its unit form would leave the float range, the
-    flat is ideal to float precision and takes the ideal norm.
+    The flat is read shifted by a power of two (``rescaled``), the same
+    flat, so normalize(2^k x) is normalize(x) bit for bit: by the exponent
+    of its euclidean slots, the ones ``<x ~x>_0`` reads, before it is
+    divided.  Where the euclidean part is zero, or the exponent of the
+    largest slot exceeds theirs by 1024 or more, so that the unit form
+    would reach 2^1021 or overflow, the flat is shifted as a whole and
+    takes the ideal norm.
     """
     n = x.algebra.require("pga")
-    require_finite(x.coeffs.tolist(), "cannot normalize a non-finite flat")
-    size = norm_of(x.coeffs[x.algebra.cached(_slots)[0]])
-    if not 2.0 ** -511 <= size < 2.0 ** 511:
-        x = Multivector(x.algebra, rescaled(x.coeffs)[0])
-    en = euclidean_norm(x)
-    if en >= 2.0 ** -512 and x.norm() < en * 2.0 ** 1023:
-        unit, w = x / en, weight(x)
-        if significant_grades(unit) == (n,) and w != 0.0:
+    euclidean = x.algebra.cached(_slots)[0]
+    size = np.abs(x.coeffs)
+    top, top_e = float(size.max()), float(size[euclidean].max())
+    if not top < math.inf:  # NaN fails too
+        raise GeometryError("cannot normalize a non-finite flat")
+    if not top:
+        raise GeometryError("cannot normalize a zero multivector")
+    # the unit form's slots lie below 2^(e - e_euclidean + 1)
+    if top_e and math.frexp(top)[1] - math.frexp(top_e)[1] < 1024:
+        x = Multivector(x.algebra, rescaled(x.coeffs, euclidean)[0])
+        unit, w = x / euclidean_norm(x), weight(x)
+        if w != 0.0 and significant_grades(unit) == (n,):
             return x / w
         return unit
-    inorm = ideal_norm(x)
-    if inorm > 0.0:
-        return x / inorm
-    raise GeometryError("cannot normalize a zero multivector")
+    x = Multivector(x.algebra, rescaled(x.coeffs)[0])
+    return x / ideal_norm(x)  # its largest slot is ideal: a norm >= 1/2
 
 
 def point_coords(p: Multivector) -> np.ndarray:
@@ -252,23 +256,21 @@ def angle(u: Multivector, v: Multivector) -> float:
 
 def incident(x: Multivector, y: Multivector) -> bool:
     """Incidence test; the residual tolerance scales with both norms, with
-    no floor, and each flat is read ``in_band``, so its products with the
-    other neither overflow nor underflow."""
+    no floor, and each flat is read ``in_band``, so the answer holds for
+    2^k x and its products with the other neither overflow nor underflow."""
     x._peer(y)
     x, y = in_band(x), in_band(y)
-    gx, gy = sum(significant_grades(x)), sum(significant_grades(y))
-    prod = x.outer(y) if gx + gy <= x.algebra.gens else join(x, y)
-    return prod.norm() <= INCIDENCE_TOL * (x.norm() * y.norm())
+    nx, ny = x.norm(), y.norm()  # for significant_grades and the bound
+    k = sum(x.grades_present(JUNK_TOL * nx) + y.grades_present(JUNK_TOL * ny))
+    prod = x.outer(y) if k <= x.algebra.gens else join(x, y)
+    return prod.norm() <= INCIDENCE_TOL * (nx * ny)
 
 
 def in_band(x: Multivector) -> Multivector:
-    """x, or x shifted by a power of two (``rescaled``) where its norm lies
-    outside 2^-500..2^500: the same flat for a reader that takes it up to
-    scale, and one whose products with another such flat stay normal.  A
-    non-finite norm is refused here, off the in-band path."""
-    if 2.0 ** -500 <= x.norm() < 2.0 ** 500:
-        return x
-    require_finite(x.coeffs.tolist(), "a non-finite flat has no scale")
+    """x shifted by a power of two (``rescaled``) that puts its largest
+    slot in [1/2, 1): the same flat for a reader that takes it up to scale,
+    which so answers the same for 2^k x, and one whose products with
+    another such flat stay normal.  A non-finite flat is refused."""
     return Multivector(x.algebra, rescaled(x.coeffs)[0])
 
 
@@ -282,7 +284,8 @@ def perpendicular_through_point(line: Multivector, p: Multivector) -> Multivecto
     line._peer(p)
     foot = (line | p) ^ line
     result = join(foot, p)
-    if result.norm() <= INCIDENCE_TOL * max(1e-30, line.norm() * p.norm()):
+    # result is degree 4 in the inputs, as foot (degree 3) times p is
+    if result.norm() <= INCIDENCE_TOL * foot.norm() * p.norm():
         raise GeometryError("construction degenerates: point lies on the line")
     return result
 

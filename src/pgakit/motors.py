@@ -180,12 +180,7 @@ def axis_line(alg: Algebra, center, axis) -> Multivector:
     nu = norm_of(u)
     if nu == 0.0:
         raise GeometryError("axis direction must be nonzero")
-    u = u / nu
-    line = join(point(alg, *(c + u)), point(alg, *c))
-    # a line, never a point, so normalize divides by en; it also refuses a
-    # line whose join overflowed, where line / en would carry the NaN on
-    en = euclidean_norm(line)
-    return line / en if en > 0.0 and line.norm() < math.inf else normalize(line)
+    return normalize(join(point(alg, *(c + u / nu)), point(alg, *c)))
 
 
 def screw_generator(line: Multivector, angle: float, displacement: float) -> Multivector:

@@ -8,10 +8,12 @@ shifted to unit size with ``math.ldexp``), or it raises a ``GAError``.  It
 never warns: pyproject turns a numpy RuntimeWarning into an error.
 
 ``ROWS`` are single cases, each of which warned or answered wrongly before
-``algebra.require_finite`` and ``algebra.rescaled`` took over the policy.
-The property draws pga(2)/pga(3) flats whose slots sit at the edges of the
-float range.  ``euclidean_norm`` stays out of it: past the float range it
-is IEEE's inf, with the overflow warning of its square.  ``ideal_norm`` is
+``algebra.require_finite`` and ``algebra.rescaled`` took over the policy,
+or before every up-to-scale reader shifted on one path.  One property
+draws pga(2)/pga(3) flats whose slots sit at the edges of the float range;
+another checks that those readers answer the same for x and 2^k x.
+``euclidean_norm`` stays out of the first: past the float range it is
+IEEE's inf, with the overflow warning of its square.  ``ideal_norm`` is
 a measure like it: on a non-finite flat it is ``math.hypot``'s inf or NaN.
 """
 
@@ -19,16 +21,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multivector_motors as ref
 from pgakit.algebra import GAError, GeometryError, cga, pga
 from pgakit.conformal import flat_rep, up
 from pgakit.duality import join
-from pgakit.euclid import (direction, flat_kind, ideal_norm, incident,
-                           is_ideal, normalize, plane, point, point_coords,
-                           weight)
+from pgakit.dynamics import bivector_from_vectors, vectors_from_bivector
+from pgakit.euclid import (direction, euclidean_norm, flat_kind, ideal_norm,
+                           incident, is_ideal, normalize,
+                           perpendicular_through_point, plane, point,
+                           point_coords, weight)
 from pgakit.motors import exp_bivector, screw_split
 
 EDGES = [0.0, 5e-324, 1e-200, 1e-160, 1.0, 1e154, 1e200, 1e300, math.nan,
@@ -77,8 +81,34 @@ def _unit_normal_plane(r):
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def _unit_ideal_plane(r):
-    assert np.array_equal(r.coeffs, plane(P3, 1e-160, 0.0, 0.0, 1.0).coeffs)
+def _unit_normal_far_offset(r):
+    # the unit euclidean form is finite, so the plane gets it
+    assert np.array_equal(r.coeffs, plane(P3, 1.0, 0.0, 0.0, 1e160).coeffs)
+
+
+def _far_point_of_weight_1(r):
+    assert np.array_equal(r.coeffs, point(P3, 1e160, 0.0, 0.0).coeffs)
+
+
+def _exactly_1e_160(r):
+    assert r == 1e-160
+
+
+def _small_vectors(r):
+    angular, linear = r
+    assert angular.tolist() == [1e-13, 0.0, 0.0]
+    assert linear.tolist() == [0.0, 0.0, 2e-13]
+
+
+def _perpendicular_y_0_1(r):
+    # the same line, through (0, 1, 1) and (0, 0, 1), as at unit scale
+    want = perpendicular_through_point(_line(P3), point(P3, 0.0, 1.0, 1.0))
+    assert np.allclose(r.coeffs / r.norm(), want.coeffs / want.norm(),
+                       rtol=0.0, atol=1e-15)
+
+
+def _is_point(r):
+    assert r == "point"
 
 
 def _not_incident(r):
@@ -107,7 +137,27 @@ ROWS = {
         lambda: normalize(_slots(P3, e1=1.0, e0=math.inf)), "non-finite"),
     "normalize a plane ideal to float precision": (
         lambda: normalize(plane(P3, 1e-160, 0.0, 0.0, 1.0)),
-        _unit_ideal_plane),
+        _unit_normal_far_offset),
+    "normalize a far point scaled by 2^-600": (
+        lambda: normalize(point(P3, 1e160, 0.0, 0.0) * 2.0 ** -600),
+        _far_point_of_weight_1),
+    "euclidean norm of a plane tiny beside its offset": (
+        lambda: euclidean_norm(plane(P3, 1e-160, 0.0, 0.0, 1.0)),
+        _exactly_1e_160),
+    "vectors of a bivector below the junk tolerance's old floor": (
+        lambda: vectors_from_bivector(bivector_from_vectors(
+            P3, [1e-13, 0.0, 0.0], [0.0, 0.0, 2e-13])),
+        _small_vectors),
+    "flat_kind of a point scaled by 1e-100": (
+        lambda: flat_kind(point(P3, 1.0, 2.0, 3.0) * 1e-100), _is_point),
+    "incident of two points scaled by 1e-100": (
+        lambda: incident(point(P3, 1.0, 2.0, 3.0) * 1e-100,
+                         point(P3, 4.0, 5.0, 6.0) * 1e-100),
+        _not_incident),
+    "perpendicular from a point onto a line, both scaled by 1e-10": (
+        lambda: perpendicular_through_point(
+            _line(P3) * 1e-10, point(P3, 0.0, 1.0, 1.0) * 1e-10),
+        _perpendicular_y_0_1),
     "incident with an inf slot": (
         lambda: incident(_slots(P3, e1=1.0, e0=math.inf), point(P3, 1, 2, 3)),
         "non-finite"),
@@ -261,3 +311,53 @@ def test_flat_rep_at_the_edges(x):
     assert np.allclose(got.coeffs / np.abs(got.coeffs).max(),
                        want.coeffs / np.abs(want.coeffs).max(), rtol=0.0,
                        atol=1e-12)
+
+
+def _shifted(x, k):
+    """x 2^k slot by slot, or None where a slot leaves the float range or
+    loses a bit, so that the shift is not exact."""
+    values = x.coeffs.tolist()
+    try:
+        shifted = [math.ldexp(v, k) for v in values]
+    except OverflowError:
+        return None
+    if [math.ldexp(v, -k) for v in shifted] != values:
+        return None
+    return x.algebra.from_coeffs(shifted)
+
+
+@st.composite
+def scaled_flats(draw, alg):
+    """A single-grade flat of alg at 10^s, s in -300..300, and the same flat
+    shifted by an exact 2^k."""
+    k = draw(st.integers(1, alg.n))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    mantissas = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+    values = draw(st.lists(mantissas, min_size=alg.size, max_size=alg.size))
+    x = alg.from_coeffs(np.where(alg.grades == k, values, 0.0) * scale)
+    shifted = _shifted(x, draw(st.integers(-600, 600)))
+    assume(shifted is not None)
+    return x, shifted
+
+
+def _same_flat_rep(got, want):
+    if isinstance(want, GAError):
+        assert isinstance(got, GAError), got
+        return
+    assert np.allclose(got.coeffs / np.abs(got.coeffs).max(),
+                       want.coeffs / np.abs(want.coeffs).max(), rtol=0.0,
+                       atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), alg=st.sampled_from((pga(2), pga(3))))
+def test_readers_are_invariant_under_exact_shifts(data, alg):
+    """normalize (bitwise), flat_kind, incident and flat_rep (to 1e-12) read
+    x and 2^k x alike: a flat is the same flat at every scale."""
+    x, xk = data.draw(scaled_flats(alg))
+    y, yk = data.draw(scaled_flats(alg))
+    _same_outcome(_outcome(normalize, xk), _outcome(normalize, x))
+    assert _outcome(flat_kind, xk) == _outcome(flat_kind, x)
+    assert _outcome(incident, xk, yk) == _outcome(incident, x, y)
+    if alg is P3:
+        _same_flat_rep(_outcome(flat_rep, xk), _outcome(flat_rep, x))

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import operator
 import os
@@ -733,6 +734,37 @@ class TestCheckAndBench:
         lines = done.stdout.splitlines()
         assert "FAIL ga-core: dense and sparse kernels disagree" in lines
         assert "FAIL dynamics: spatial momentum drifted" in lines
+
+
+# sha256 of simulate's standard output on the shipped dynamics scenes, with
+# and without renormalisation: a change that moves one bit of the CSV moves
+# its digest
+SIMULATE_DIGESTS = {
+    ("euler_top", False):
+        "aa3d306cd4a41963ab91f41a58fd67cad77326fba0f1c92d8a68ebf7a2d50091",
+    ("euler_top", True):
+        "7c3708bd1e4cb332204fa0c2fd18afc66c807d7dd91e4387abfe516c71981df9",
+    ("free_top", False):
+        "4e45abd568652ff314cc1acf19dae854bceef767774814d815a093240677c73f",
+    ("free_top", True):
+        "4a6eebe94282fb8ecb0fbd4a9eb45fa82a149d50d6f658607e7648e9cf99d971",
+}
+
+
+class TestContracts:
+    @pytest.mark.parametrize("scene, drift", list(SIMULATE_DIGESTS))
+    def test_simulate_digest(self, capsys, scene, drift):
+        argv = ["simulate", "--scene", str(SCENES / f"{scene}.json")]
+        assert main(argv + ["--no-renormalize"] * drift) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == SIMULATE_DIGESTS[scene, drift]
+
+    def test_check_seeds_0_to_50(self, capsys):
+        for seed in range(51):
+            assert main(["check", "--seed", str(seed)]) == 0, seed
+            head, *suites = capsys.readouterr().out.splitlines()
+            assert head == f"# seed={seed}"
+            assert suites and all(line.startswith("ok ") for line in suites)
 
 
 class TestUsage:

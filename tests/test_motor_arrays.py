@@ -144,7 +144,7 @@ def _versor(data, alg):
         return ref.exp_bivector(b)
     plane = data.draw(_coeffs(alg, st.floats(-4.0, 4.0), 1))
     size = euclid.euclidean_norm_of(alg, plane)  # of e1..en, not e0
-    if size == 0.0:
+    if not np.abs(plane).max() < size * 2.0 ** 1023:  # no finite unit plane
         plane[2] = size = 1.0  # e1
     return Multivector(alg, plane / size)
 
