@@ -369,16 +369,14 @@ def require_finite(values, message: str) -> None:
         raise GeometryError(message)
 
 
-def rescaled(c: np.ndarray, slots=slice(None)) -> tuple[np.ndarray, int]:
-    """(c 2^-e, e), e the exponent of the largest |c_i| over ``slots`` (all
-    of c by default), so that slot lands in [1/2, 1).  The shift is exact
-    but for slots it takes below the smallest subnormal, so a homogeneous
-    element, a flat read up to scale, is the same element after it: a
-    reader of it that shifts first answers the same for x and 2^k x.  The
-    caller keeps the other slots within 2^1023 of that one, where the shift
-    cannot overflow.  A NaN or inf among ``slots`` has no scale: it raises
+def rescaled(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c 2^-e, e), e the exponent of the largest |c_i|, so that slot lands
+    in [1/2, 1).  The shift is exact but for slots it takes below the
+    smallest subnormal, so a homogeneous element, a flat read up to scale,
+    is the same element after it: a reader of it that shifts first answers
+    the same for x and 2^k x.  A NaN or inf in c has no scale: it raises
     ``GeometryError``."""
-    top = float(np.abs(c[slots]).max())
+    top = float(np.abs(c).max())
     if not top < math.inf:  # NaN fails too
         raise GeometryError("a non-finite flat has no scale")
     e = math.frexp(top)[1]

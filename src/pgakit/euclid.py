@@ -134,13 +134,15 @@ def normalize(x: Multivector) -> Multivector:
     so points come out with weight exactly +1; the grades are read on the
     unit euclidean form.
 
-    The flat is read shifted by a power of two (``rescaled``), the same
-    flat, so normalize(2^k x) is normalize(x) bit for bit: by the exponent
-    of its euclidean slots, the ones ``<x ~x>_0`` reads, before it is
-    divided.  Where the euclidean part is zero, or the exponent of the
-    largest slot exceeds theirs by 1024 or more, so that the unit form
-    would reach 2^1021 or overflow, the flat is shifted as a whole and
-    takes the ideal norm.
+    The flat is read shifted by a power of two, the same flat, so
+    normalize(2^k x) is normalize(x) bit for bit: by the exponent of its
+    euclidean slots, the ones ``<x ~x>_0`` reads, before it is divided.
+    Where the euclidean part is zero, or the exponent of the largest slot
+    exceeds theirs by 1024 or more, so that the unit form would reach
+    2^1021 or overflow, the flat is shifted as a whole and takes the ideal
+    norm.  A weight that x / w would overflow on (one at rounding level
+    beside the euclidean norm, say) is not divided by: that element keeps
+    its unit euclidean form.
     """
     n = x.algebra.require("pga")
     euclidean = x.algebra.cached(_slots)[0]
@@ -150,14 +152,17 @@ def normalize(x: Multivector) -> Multivector:
         raise GeometryError("cannot normalize a non-finite flat")
     if not top:
         raise GeometryError("cannot normalize a zero multivector")
+    e, e_euclidean = math.frexp(top)[1], math.frexp(top_e)[1]
     # the unit form's slots lie below 2^(e - e_euclidean + 1)
-    if top_e and math.frexp(top)[1] - math.frexp(top_e)[1] < 1024:
-        x = Multivector(x.algebra, rescaled(x.coeffs, euclidean)[0])
+    if top_e and e - e_euclidean < 1024:
+        x = Multivector(x.algebra, np.ldexp(x.coeffs, -e_euclidean))
         unit, w = x / euclidean_norm(x), weight(x)
-        if w != 0.0 and significant_grades(unit) == (n,):
+        # x / w is finite exactly where its largest slot is: top 2^-e_euclidean / w
+        if (w != 0.0 and abs(math.ldexp(top, -e_euclidean) / w) < math.inf
+                and significant_grades(unit) == (n,)):
             return x / w
         return unit
-    x = Multivector(x.algebra, rescaled(x.coeffs)[0])
+    x = Multivector(x.algebra, np.ldexp(x.coeffs, -e))
     return x / ideal_norm(x)  # its largest slot is ideal: a norm >= 1/2
 
 

@@ -30,6 +30,14 @@ it is refused where the limit is crossed, whatever the caller's stack
 depth.  Parsing and evaluation are loops over explicit stacks, not
 recursion.
 
+Each operator is one entry of ``BINARY`` (its binding power and its
+function) or of ``UNARY`` (its function; ``#`` is the one postfix).
+``parse``, ``evaluate`` and ``to_text`` all read it, and a node whose
+operator has no entry is refused.  The function is looked up when it is
+called: ``operator.*`` dispatches to the ``Multivector`` method, and the
+lambdas read this module's ``join``, ``j_map`` and ``polarity``, so a
+wrapper bound over either later sees every call.
+
 ``parse`` keeps the trees of the last ``PARSE_CACHE_SIZE`` distinct texts
 in one LRU cache, shared by every reader: ``construct``, ``eval`` and
 ``Algebra.parse`` all call ``parse``, so a repeated text is tokenized and
@@ -43,6 +51,7 @@ call, against that call's environment.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -112,7 +121,14 @@ class Binary(Node):
     right: Node
 
 
-BINDING = {"+": 5, "-": 5, "&": 10, "^": 20, "|": 30, "*": 40}
+# each function is looked up when it runs, never bound at import (see above)
+# symbol: (binding power, function); every binary operator is left-associative
+BINARY = {"+": (5, operator.add), "-": (5, operator.sub),
+          "&": (10, lambda a, b: join(a, b)), "^": (20, operator.xor),
+          "|": (30, operator.or_), "*": (40, operator.mul)}
+# symbol: function; "#" is a postfix, the rest are prefixes
+UNARY = {"~": operator.invert, "!": lambda x: j_map(x), "-": operator.neg,
+         "+": lambda x: x, "#": lambda x: polarity(x)}
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -170,9 +186,7 @@ def _tokenize(src: str) -> list[_Token]:
 # -- parser ------------------------------------------------------------------
 
 _PREFIX = 50  # how tightly a prefix operator binds: tighter than any binary
-# how tightly each opener binds once stacked; a bracket looser than anything
-_OPENERS = {"~": _PREFIX, "!": _PREFIX, "-": _PREFIX, "+": _PREFIX,
-            "(": -1, "<": -1}
+_BRACKET = -1  # how tightly an open bracket binds: looser than anything
 _CLOSER = {"(": ")", "<": ">"}
 
 
@@ -227,37 +241,33 @@ def parse(src: str) -> Node:
 def _parse(src: str) -> Node:
     tokens = iter(_tokenize(src))
     values: list[tuple[Node, int]] = []  # (node, operators on longest path)
-    ops: list[_Token] = []  # open prefix operators, brackets, binary operators
-    binds: list[int] = []  # how tightly each of ops binds; _PREFIX: a prefix
+    # open brackets, prefix and binary operators, each with how tightly it binds
+    stack: list[tuple[int, _Token]] = []
     opened = 0  # groups and prefix operators open at this token
     # only op tokens spell operators, so their text alone tells them apart
     for t in tokens:  # where an operand is due
-        bind = _OPENERS.get(t.text)
-        if bind is not None:
+        if t.text in _CLOSER or t.text in UNARY and t.text != "#":
             opened = _nests(t, opened + 1)
-            ops.append(t)
-            binds.append(bind)
+            stack.append((_BRACKET if t.text in _CLOSER else _PREFIX, t))
             continue
         values.append((_leaf(t), 0))
         for t in tokens:  # after an operand
             if t.text == "#":
                 _reduce(t, values, True)
                 continue
-            bp = BINDING.get(t.text, 0)
-            while binds and binds[-1] >= bp:
-                unary = binds.pop() == _PREFIX
-                opened -= unary
-                _reduce(ops.pop(), values, unary)
+            bp = BINARY[t.text][0] if t.text in BINARY else 0
+            while stack and stack[-1][0] >= bp:
+                bind, op = stack.pop()
+                opened -= bind == _PREFIX
+                _reduce(op, values, bind == _PREFIX)
             if bp:  # a binary operator waits for its right operand
-                ops.append(t)
-                binds.append(bp)
+                stack.append((bp, t))
                 break
-            if not ops:  # t closes the whole expression
+            if not stack:  # t closes the whole expression
                 if t.kind != "end":
                     raise _fail(t, f"unexpected {t.text!r}")
                 return values[0][0]
-            opener = ops.pop()
-            binds.pop()
+            opener = stack.pop()[1]
             opened -= 1
             closer = _CLOSER[opener.text]
             if t.text != closer:
@@ -304,6 +314,14 @@ def _error(node: Node, message: str) -> EvalError:
     return EvalError(f"line {node.line}, column {node.col}: {message}")
 
 
+def _entry(table: dict, node: Unary | Binary):
+    """``node``'s operator's entry in ``table``; one it lacks is refused."""
+    entry = table.get(node.op)
+    if entry is None:
+        raise _error(node, f"unknown operator {node.op!r}")
+    return entry
+
+
 def _value(node: Node, values: list[Multivector], alg: Algebra,
            env: dict[str, Multivector]) -> Multivector:
     """Value of ``node`` from its operands' values, popped off ``values``."""
@@ -324,16 +342,7 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
             raise _error(node, f"{node.ident!r} is bound in a different algebra")
         return bound
     if isinstance(node, Unary):
-        x = values.pop()
-        if node.op == "~":
-            return x.reverse()
-        if node.op == "!":
-            return j_map(x)
-        if node.op == "-":
-            return -x
-        if node.op == "+":
-            return x
-        return polarity(x)
+        return _entry(UNARY, node)(values.pop())
     if isinstance(node, GradeSel):
         try:
             return values.pop().grade(node.k)
@@ -350,16 +359,7 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
                 return Multivector(alg, b.coeffs * node.left.value + 0.0)
             if isinstance(node.right, Num):
                 return Multivector(alg, a.coeffs * node.right.value + 0.0)
-            return a.gp(b)
-        if node.op == "^":
-            return a.outer(b)
-        if node.op == "|":
-            return a.left_contract(b)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return join(a, b)
+        return _entry(BINARY, node)[1](a, b)
     raise EvalError(f"cannot evaluate {type(node).__name__}")
 
 
@@ -367,9 +367,7 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
 
 
 def _bp(node: Node) -> int:
-    if isinstance(node, Binary):
-        return BINDING[node.op]
-    return 100
+    return _entry(BINARY, node)[0] if isinstance(node, Binary) else 100
 
 
 def to_text(node: Node) -> str:
@@ -381,6 +379,7 @@ def to_text(node: Node) -> str:
     if isinstance(node, Name):
         return node.ident
     if isinstance(node, Unary):
+        _entry(UNARY, node)  # an operator with no entry is refused
         inner = to_text(node.operand)
         needs_parens = isinstance(node.operand, Binary) or (
             node.op == "#" and (

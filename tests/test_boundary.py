@@ -9,7 +9,8 @@ never warns: pyproject turns a numpy RuntimeWarning into an error.
 
 ``ROWS`` are single cases, each of which warned or answered wrongly before
 ``algebra.require_finite`` and ``algebra.rescaled`` took over the policy,
-or before every up-to-scale reader shifted on one path.  One property
+before every up-to-scale reader shifted on one path, or before
+``normalize`` divided only by a weight that leaves x / w finite.  One property
 draws pga(2)/pga(3) flats whose slots sit at the edges of the float range;
 another checks that those readers answer the same for x and 2^k x.
 ``euclidean_norm`` stays out of the first: past the float range it is
@@ -90,6 +91,13 @@ def _far_point_of_weight_1(r):
     assert np.array_equal(r.coeffs, point(P3, 1e160, 0.0, 0.0).coeffs)
 
 
+def _unchanged(**values):
+    """A check that the result has the slots ``values`` of P3, bit for bit."""
+    def check(r):
+        assert r.coeffs.tobytes() == _slots(P3, **values).coeffs.tobytes()
+    return check
+
+
 def _exactly_1e_160(r):
     assert r == 1e-160
 
@@ -141,6 +149,14 @@ ROWS = {
     "normalize a far point scaled by 2^-600": (
         lambda: normalize(point(P3, 1e160, 0.0, 0.0) * 2.0 ** -600),
         _far_point_of_weight_1),
+    # mixed grades, read as a point: x / w overflows, so the unit
+    # euclidean form it already has is kept
+    "normalize a point whose weight is rounding beside a plane part": (
+        lambda: normalize(_slots(P3, e1=1.0, e123=1e-300, e023=1e300)),
+        _unchanged(e1=1.0, e123=1e-300, e023=1e300)),
+    "normalize a point whose weight is small beside a plane part": (
+        lambda: normalize(_slots(P3, e1=1.0, e123=1e-10, e023=1e300)),
+        _unchanged(e1=1.0, e123=1e-10, e023=1e300)),
     "euclidean norm of a plane tiny beside its offset": (
         lambda: euclidean_norm(plane(P3, 1e-160, 0.0, 0.0, 1.0)),
         _exactly_1e_160),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_mv
 from pgakit import duality, euclid, expr
+from pgakit.algebra import Multivector
 from pgakit.expr import (
     PARSE_CACHE_SIZE,
     Binary,
@@ -236,13 +238,14 @@ numbers = st.floats(-1e6, 1e6, allow_nan=False).map(Num)
 
 
 def _extend(children):
-    unary = st.tuples(st.sampled_from("~!-+#"), children).filter(
+    unary = st.tuples(st.sampled_from(sorted(expr.UNARY)), children).filter(
         # a folded literal: "-2.0" reparses as a number, not an op
         lambda t: not (t[0] == "-" and isinstance(t[1], Num))
     ).map(lambda t: Unary(*t))
     select = st.tuples(children, st.integers(0, 4)).map(
         lambda t: GradeSel(*t))
-    binary = st.tuples(st.sampled_from("+-&^|*"), children, children).map(
+    binary = st.tuples(st.sampled_from(sorted(expr.BINARY)), children,
+                       children).map(
         lambda t: Binary(*t))
     return st.one_of(unary, select, binary)
 
@@ -290,25 +293,74 @@ class TestEvaluation:
         out = evaluate(parse("e1*e1"), pga3, {})
         assert out.close_to(pga3.scalar(1.0), tol=0.0)
 
-    def test_matches_library_calls_bitwise(self, pga3, rng):
+    def test_matches_library_calls_bitwise(self, pga2, pga3, cga3, rng):
+        for alg in (pga2, pga3, cga3):
+            a, b = random_mv(alg, rng), random_mv(alg, rng)
+            pairs = [
+                ("a * b", a.gp(b)),
+                ("a ^ b", a.outer(b)),
+                ("a | b", a.left_contract(b)),
+                ("a & b", duality.join(a, b)),
+                ("~a", a.reverse()),
+                ("!a", duality.j_map(a)),
+                ("a#", duality.polarity(a)),
+                ("<a>2", a.grade(2)),
+                ("-a", -a),
+                ("+a", a),
+                ("a + b", a + b),
+                ("a - b", a - b),
+            ]
+            for src, want in pairs:
+                got = evaluate(parse(src), alg, {"a": a, "b": b})
+                assert np.array_equal(got.coeffs, want.coeffs), (alg, src)
+        # the cases spell every operator, so each entry meets its library call
+        tops = [parse(src) for src, _ in pairs]
+        assert {n.op for n in tops if isinstance(n, Binary)} == set(expr.BINARY)
+        assert {n.op for n in tops if isinstance(n, Unary)} == set(expr.UNARY)
+
+    def test_operators_reach_functions_rebound_after_import(self, pga3, rng,
+                                                           monkeypatch):
+        # perfbench's tracer wraps the products on Multivector, and join,
+        # j_map and polarity wherever a pgakit module holds them, long after
+        # expr is imported: an operator looks its function up when it runs
+        seen = []
+
+        def wrap(name, fn):
+            return lambda *args: seen.append(name) or fn(*args)
+
+        for name in ("gp", "outer", "left_contract"):
+            monkeypatch.setattr(Multivector, name,
+                                wrap(name, getattr(Multivector, name)))
+        for fn in (duality.join, duality.j_map, duality.polarity):
+            wrapped = wrap(fn.__name__, fn)
+            for modname, module in list(sys.modules.items()):
+                if modname == "pgakit" or modname.startswith("pgakit."):
+                    for attr, obj in list(vars(module).items()):
+                        if obj is fn:
+                            monkeypatch.setattr(module, attr, wrapped)
         env = {"a": random_mv(pga3, rng), "b": random_mv(pga3, rng)}
-        pairs = [
-            ("a * b", env["a"].gp(env["b"])),
-            ("a ^ b", env["a"].outer(env["b"])),
-            ("a | b", env["a"].left_contract(env["b"])),
-            ("a & b", duality.join(env["a"], env["b"])),
-            ("~a", env["a"].reverse()),
-            ("!a", duality.j_map(env["a"])),
-            ("a#", duality.polarity(env["a"])),
-            ("<a>2", env["a"].grade(2)),
-            ("-a", -env["a"]),
-            ("+a", env["a"]),
-            ("a + b", env["a"] + env["b"]),
-            ("a - b", env["a"] - env["b"]),
-        ]
-        for src, want in pairs:
-            got = evaluate(parse(src), pga3, env)
-            assert np.array_equal(got.coeffs, want.coeffs), src
+        for src, name in [("a * b", "gp"), ("a ^ b", "outer"),
+                          ("a | b", "left_contract"), ("a & b", "join"),
+                          ("!a", "j_map"), ("a#", "polarity")]:
+            seen.clear()
+            evaluate(parse(src), pga3, env)
+            assert seen == [name], src
+
+    @pytest.mark.parametrize("node, op", [
+        (Binary("@", Blade("e1"), Blade("e2"), line=2, col=4), "@"),
+        (Unary("?", Blade("e1"), line=2, col=4), "?"),
+        # each table's symbols, in the other table's node
+        (Binary("#", Blade("e1"), Blade("e2"), line=2, col=4), "#"),
+        (Unary("&", Blade("e1"), line=2, col=4), "&"),
+        (Binary("+", Blade("e1"), Unary("?", Blade("e2"), line=2, col=4)), "?"),
+    ], ids=["binary @", "unary ?", "binary #", "unary &", "nested unary ?"])
+    def test_unknown_operator_refused(self, pga3, node, op):
+        # no operator is read as another: evaluate and to_text name it
+        message = re.escape(f"line 2, column 4: unknown operator {op!r}")
+        with pytest.raises(EvalError, match=message):
+            evaluate(node, pga3, {})
+        with pytest.raises(EvalError, match=message):
+            to_text(node)
 
     def test_perpendicular_construction(self, pga3):
         p = euclid.point(pga3, 1.0, 0.0, 0.0)
