@@ -22,9 +22,12 @@ coefficient slots directly, from one per-algebra slot table
 the positions of e_n and e_(n+1).  Each slot gets exactly the value the
 composed formula above gives it (``up`` writes x_i + 0.0 on the vector
 slots and -1/2 + h, 1/2 + h with h = |x|^2 / 2 on e_n, e_(n+1)), so
-points are bitwise those of ``n_origin + x + h n_inf``.  From h = 2^52
-(|x| about 9.49e7) the two slots round and lose the pairing with n_inf:
-such a point is too far from the origin to embed (GeometryError).
+points are bitwise those of ``n_origin + x + h n_inf``.  |x|^2 is the
+left-to-right sum of the squares x_i ** 2, the same bits on every
+interpreter (``sum()`` of floats is compensated from Python 3.12 on).
+From h = 2^52 (|x| about 9.49e7) the two slots round and lose the
+pairing with n_inf: such a point is too far from the origin to embed
+(GeometryError).
 Pairings are ``Multivector.scalar_product``, the scalar slot of ``gp``
 without the rest of it.  n_inf's coefficients are built once per algebra,
 read-only (``alg.cached(_n_inf_coeffs)``): ``infinity_pairing`` runs the
@@ -110,8 +113,10 @@ def up(alg: Algebra, *coords) -> Multivector:
         coords = coords[0]
     vec, plus, minus = alg.cached(_null_slots)
     x = _coords(alg, coords)
+    sq = 0.0
     try:  # c ** 2 is pow, which c * c need not match on every libm
-        sq = sum(c ** 2 for c in x.tolist())
+        for c in x.tolist():  # left to right: sum() compensates from 3.12 on
+            sq += c ** 2
     except OverflowError:
         sq = math.inf
     h = 0.5 * sq
@@ -260,7 +265,7 @@ def flat_rep(x: Multivector) -> Multivector:
     out = cga(3)
     if euclid.is_ideal(x):
         raise GeometryError("ideal flats lie outside the embedding")
-    kind = euclid.flat_kind(x)
+    kind = euclid.kind_in_band(x)
     if kind == "point":
         return _span([up(out, euclid.point_coords(x))])
     if kind == "line":

@@ -297,8 +297,13 @@ def perpendicular_through_point(line: Multivector, p: Multivector) -> Multivecto
 
 def flat_kind(x: Multivector) -> str:
     """The flat's name by its grade, read ``in_band``."""
+    return kind_in_band(in_band(x))
+
+
+def kind_in_band(x: Multivector) -> str:
+    """``flat_kind`` of a flat already ``in_band``, read as it is: no shift."""
     n = x.algebra.require("pga")
-    grades = significant_grades(in_band(x))
+    grades = significant_grades(x)
     if grades == (1,):
         return "plane" if n == 3 else "line"
     if grades == (2,):

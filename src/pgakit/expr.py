@@ -27,8 +27,11 @@ parser, so multivector text has one reader.  There is no assignment.
 An expression may nest at most ``MAX_DEPTH`` operators deep, with at
 most ``MAX_DEPTH`` groups and prefix operators open at once; past that
 it is refused where the limit is crossed, whatever the caller's stack
-depth.  Parsing and evaluation are loops over explicit stacks, not
-recursion.
+depth.  ``parse``, ``evaluate`` and ``to_text`` are loops over explicit
+stacks, not recursion, so a tree built by hand however deep is evaluated
+and printed too.  ``evaluate`` and ``to_text`` share one post-order walk
+(``_post_order``), the one place that knows which fields of a node are
+its operands; each keeps its own stack of what its operands gave.
 
 Each operator is one entry of ``BINARY`` (its binding power and its
 function) or of ``UNARY`` (its function; ``#`` is the one postfix).
@@ -55,7 +58,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -158,26 +161,20 @@ class _Token(NamedTuple):
 
 def _tokenize(src: str) -> list[_Token]:
     out = []
-    line, start = 1, 0
-    pos = 0
+    line, start, pos = 1, 0, 0
     while pos < len(src):
         m = _TOKEN.match(src, pos)
         if m is None:
             raise ParseError(f"unexpected character {src[pos]!r}",
                              line, pos - start + 1)
-        kind = m.lastgroup
-        text = m.group()
-        col = pos - start + 1
-        if kind == "ws":
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                start = pos + text.rindex("\n") + 1
-        elif kind == "word":
-            sub = "blade" if _BLADE.match(text) else "ident"
-            out.append(_Token(sub, text, line, col))
-        else:
-            out.append(_Token(kind, text, line, col))
+        kind, text = m.lastgroup, m.group()
+        if kind == "word":
+            kind = "blade" if _BLADE.match(text) else "ident"
+        if kind != "ws":
+            out.append(_Token(kind, text, line, pos - start + 1))
+        elif "\n" in text:
+            line += text.count("\n")
+            start = pos + text.rindex("\n") + 1
         pos = m.end()
     out.append(_Token("end", "", line, len(src) - start + 1))
     return out
@@ -286,11 +283,12 @@ def _parse(src: str) -> Node:
 _parsed = lru_cache(maxsize=PARSE_CACHE_SIZE)(_parse)
 
 
-# -- evaluation ---------------------------------------------------------------
+# -- the walk -----------------------------------------------------------------
 
 
-def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector:
-    """Value of ``node``; fails at the first subexpression that is not finite."""
+def _post_order(node: Node) -> Iterator[Node]:
+    """The nodes of the tree under ``node``, each after its operands, left
+    operand first: the one place that knows which fields are operands."""
     order, todo = [], [node]
     while todo:  # pre-order, right operand first
         n = todo.pop()
@@ -299,9 +297,17 @@ def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivect
             todo += n.left, n.right
         elif isinstance(n, (Unary, GradeSel)):
             todo.append(n.operand)
+    return reversed(order)
+
+
+# -- evaluation ---------------------------------------------------------------
+
+
+def evaluate(node: Node, alg: Algebra, env: dict[str, Multivector]) -> Multivector:
+    """Value of ``node``; fails at the first subexpression that is not finite."""
     values: list[Multivector] = []
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        for n in reversed(order):  # post-order, left operand first
+        for n in _post_order(node):
             value = _value(n, values, alg, env)  # a Num checks itself, a Blade is +-1
             if not (isinstance(n, (Num, Blade))
                     or all(map(math.isfinite, value.coeffs.tolist()))):
@@ -366,36 +372,43 @@ def _value(node: Node, values: list[Multivector], alg: Algebra,
 # -- printing -----------------------------------------------------------------
 
 
-def _bp(node: Node) -> int:
-    return _entry(BINARY, node)[0] if isinstance(node, Binary) else 100
-
-
 def to_text(node: Node) -> str:
     """Canonical text form; parse(to_text(n)) == n up to positions."""
+    printed: list[tuple[str, float]] = []  # (text, how tightly it holds)
+    for n in _post_order(node):
+        printed.append(_text(n, printed))
+    return printed[0][0]
+
+
+def _text(node: Node, printed: list[tuple[str, float]]) -> tuple[str, float]:
+    """``node``'s text and how tightly it holds together, from its operands'
+    popped off ``printed``: a binary operator by its binding power, a prefix
+    or a number printed with a minus sign as ``_PREFIX``, the rest tighter
+    than any operator.  An operand that holds looser than its operator is
+    parenthesized, as is a binary operator's right operand that holds as
+    tightly (every binary operator is left-associative)."""
     if isinstance(node, Num):
-        return repr(node.value)
+        text = repr(node.value)  # a printed minus sign holds as a prefix
+        return text, _PREFIX if text.startswith("-") else math.inf
     if isinstance(node, Blade):
-        return node.name
+        return node.name, math.inf
     if isinstance(node, Name):
-        return node.ident
+        return node.ident, math.inf
+    if isinstance(node, GradeSel):
+        return f"<{printed.pop()[0]}>{node.k}", math.inf
     if isinstance(node, Unary):
         _entry(UNARY, node)  # an operator with no entry is refused
-        inner = to_text(node.operand)
-        needs_parens = isinstance(node.operand, Binary) or (
-            node.op == "#" and (
-                isinstance(node.operand, Unary) and node.operand.op != "#"
-                # a printed minus sign would capture the postfix
-                or isinstance(node.operand, Num) and inner.startswith("-")))
-        if needs_parens:
+        inner, bp = printed.pop()
+        holds = math.inf if node.op == "#" else _PREFIX
+        if bp < holds:
             inner = f"({inner})"
-        return inner + "#" if node.op == "#" else node.op + inner
-    if isinstance(node, GradeSel):
-        return f"<{to_text(node.operand)}>{node.k}"
+        return inner + "#" if node.op == "#" else node.op + inner, holds
     if isinstance(node, Binary):
-        lhs, rhs = to_text(node.left), to_text(node.right)
-        if _bp(node.left) < _bp(node):
+        bp = _entry(BINARY, node)[0]
+        (rhs, right), (lhs, left) = printed.pop(), printed.pop()
+        if left < bp:
             lhs = f"({lhs})"
-        if _bp(node.right) <= _bp(node):
+        if right <= bp:
             rhs = f"({rhs})"
-        return f"{lhs} {node.op} {rhs}"
+        return f"{lhs} {node.op} {rhs}", bp
     raise EvalError(f"cannot print {type(node).__name__}")

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import plain_range, rescaled
+from pgakit import algebra
 from pgakit import conformal as cf
 from pgakit import euclid, motors
 from pgakit.duality import join
@@ -264,7 +266,9 @@ def composed_euclidean_vector(alg, coords):
 
 
 def composed_up(alg, coords):
-    sq = sum(float(c) ** 2 for c in coords)
+    sq = 0.0
+    for c in coords:  # left to right, as up(): sum() compensates from 3.12 on
+        sq += float(c) ** 2
     return (composed_n_origin(alg) + composed_euclidean_vector(alg, coords)
             + composed_n_infinity(alg) * (0.5 * sq))
 
@@ -536,6 +540,28 @@ class TestFlatRepWedges:
             cf.flat_rep(x)
         assert len(seen) == 1 + 2 + 3
         assert max(seen) < len(cga3.pairs["outer"].i)
+
+    def test_flat_shifted_once(self, pga3, monkeypatch):
+        # flat_rep reads its kind on the flat it shifted in band, not on a
+        # second shift of it: one rescaled call wherever a module holds it
+        calls, shift = [], algebra.rescaled
+
+        def counted(c):
+            calls.append(c)
+            return shift(c)
+
+        for name, module in list(sys.modules.items()):
+            if name == "pgakit" or name.startswith("pgakit."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is shift:
+                        monkeypatch.setattr(module, attr, counted)
+        line = euclid.line_from_points(euclid.point(pga3, 1, 2, 3),
+                                       euclid.point(pga3, -1, 0, 2))
+        for x in (euclid.point(pga3, 1, 2, 3), line,
+                  euclid.plane(pga3, 1, 1, 1, -3)):
+            calls.clear()
+            cf.flat_rep(x)
+            assert len(calls) == 1, x
 
 
 class TestDimensionAudit:

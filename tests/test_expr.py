@@ -270,6 +270,14 @@ TOKENS = st.sampled_from([
 ])
 
 
+def _reversed_deep(node: Node) -> Node:
+    """``node`` under 2 * sys.getrecursionlimit() reverses, deeper than a
+    recursive walk reaches."""
+    for _ in range(2 * sys.getrecursionlimit()):
+        node = Unary("~", node)
+    return node
+
+
 class TestRobustness:
     @settings(max_examples=1000, deadline=None)
     @given(st.lists(TOKENS, max_size=40))
@@ -281,11 +289,11 @@ class TestRobustness:
         assert parse(to_text(node)) == node
 
     def test_deep_tree_evaluates_without_recursion(self, pga3):
-        node = Blade("e1")
-        for _ in range(2 * sys.getrecursionlimit()):
-            node = Unary("~", node)
+        n = 2 * sys.getrecursionlimit()
+        node = _reversed_deep(Blade("e1"))
         out = evaluate(node, pga3, {})
         assert out.coeffs.tobytes() == pga3.blade("e1").coeffs.tobytes()
+        assert to_text(node) == "~" * n + "e1"
 
 
 class TestEvaluation:
@@ -353,7 +361,9 @@ class TestEvaluation:
         (Binary("#", Blade("e1"), Blade("e2"), line=2, col=4), "#"),
         (Unary("&", Blade("e1"), line=2, col=4), "&"),
         (Binary("+", Blade("e1"), Unary("?", Blade("e2"), line=2, col=4)), "?"),
-    ], ids=["binary @", "unary ?", "binary #", "unary &", "nested unary ?"])
+        (_reversed_deep(Unary("?", Blade("e1"), line=2, col=4)), "?"),
+    ], ids=["binary @", "unary ?", "binary #", "unary &", "nested unary ?",
+            "deep unary ?"])
     def test_unknown_operator_refused(self, pga3, node, op):
         # no operator is read as another: evaluate and to_text name it
         message = re.escape(f"line 2, column 4: unknown operator {op!r}")
