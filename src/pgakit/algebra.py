@@ -63,7 +63,6 @@ from functools import cache, lru_cache
 import numpy as np
 
 MAX_GENERATORS = 6
-ASSOC_CHECK_LIMIT = 5  # exhaustive triple check is cheap up to 2^5 blades
 
 
 class GAError(Exception):
@@ -146,8 +145,7 @@ class Algebra:
 
         self._cache = {}  # see cached()
         self._build_tables()
-        if d <= ASSOC_CHECK_LIMIT:
-            self._check_associative()
+        self._check_associative()
 
     # -- construction of the integer tables ------------------------------
 

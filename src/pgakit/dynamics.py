@@ -48,7 +48,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .algebra import Algebra, GeometryError, Multivector, Pairs, cga, pga
+from .algebra import Algebra, GeometryError, Multivector, Pairs, pga
 from .euclid import euclidean_norm_of, significant_grades
 from .motors import axis_line
 
@@ -369,22 +369,3 @@ def _write_rows(out: TextIO, first: int, text: str) -> None:
         raise GeometryError(f"integration diverged at step {first + j}:"
                             " the row is not finite")
     out.write(text)
-
-
-def solution_space_dims(model: str) -> tuple[int, int, int]:
-    """(bivector count, even-subalgebra count, excess of the pair space
-    over the 12 states a rigid body actually has) for a model family."""
-    if model == "pga":
-        alg = pga(3)
-    elif model == "cga":
-        alg = cga(3)
-    else:
-        raise GeometryError(f"unknown model {model!r}")
-    biv = len(alg.basis_blades(2))
-    even = int(np.count_nonzero(alg.grades % 2 == 0))
-    return biv, even, biv + even - valid_state_dim()
-
-
-def valid_state_dim() -> int:
-    """Velocity and momentum freedoms of one rigid body."""
-    return 2 * len(pga(3).basis_blades(2))

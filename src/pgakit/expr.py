@@ -273,8 +273,12 @@ def _parse(src: str) -> Node:
                 k = next(tokens)
                 if k.kind != "number" or not k.text.isdigit():
                     raise _fail(k, "grade index must be a plain integer")
+                try:
+                    grade = int(k.text)
+                except ValueError:  # more digits than int() reads
+                    raise _fail(k, "grade index has too many digits") from None
                 node, depth = values.pop()
-                values.append((GradeSel(node, int(k.text), line=opener.line,
+                values.append((GradeSel(node, grade, line=opener.line,
                                         col=opener.col),
                                _nests(opener, depth + 1)))
 

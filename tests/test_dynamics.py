@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.spatial.transform import Rotation
 
+from biquaternion import to_biquaternion
+from dimensions import solution_space_dims, valid_state_dim
 from pgakit.algebra import Multivector
 from pgakit.dynamics import (
     BLOCK_ROWS,
@@ -17,9 +19,7 @@ from pgakit.dynamics import (
     energy,
     integrate,
     rk4_step,
-    solution_space_dims,
     spatial_momentum,
-    valid_state_dim,
     vectors_from_bivector,
     write_trajectory,
 )
@@ -182,8 +182,6 @@ class TestFreeMotion:
     def test_quaternion_reduction_via_biquaternion(self, pga3):
         # with rotational momentum only, the biquaternion image of the
         # run is the plain quaternion top integrated the same way
-        from pgakit.motors import to_biquaternion
-
         moments = (1.0, 2.0, 3.0)
         inertia = InertiaOperator(moments, 1.0)
         m0 = bivector_from_vectors(pga3, [0.4, 0.9, -0.3], [0, 0, 0])

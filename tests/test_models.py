@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from biquaternion import Biquaternion, from_biquaternion, to_biquaternion
 from pgakit import conformal, dynamics, euclid, motors
 from pgakit.algebra import GeometryError, Signature, build_algebra, cga, pga
 
@@ -48,9 +49,9 @@ WRONG_MODEL = {
         pga(2), [0.0, 0.0, 1.0], 0.5),
     "rotation_about_point-pga3": lambda: motors.rotation_about_point(
         euclid.point(pga(3), 0.0, 0.0, 0.0), 0.5),
-    "to_biquaternion-pga2": lambda: motors.to_biquaternion(pga(2).scalar(1.0)),
-    "from_biquaternion-pga2": lambda: motors.from_biquaternion(
-        pga(2), motors.Biquaternion.unit("1")),
+    "to_biquaternion-pga2": lambda: to_biquaternion(pga(2).scalar(1.0)),
+    "from_biquaternion-pga2": lambda: from_biquaternion(
+        pga(2), Biquaternion.unit("1")),
     "bivector_from_vectors-pga2": lambda: dynamics.bivector_from_vectors(
         pga(2), [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
     "inverse_apply-pga2": lambda: dynamics.InertiaOperator(

@@ -18,13 +18,16 @@ from pgakit.euclid import (
     point,
     point_coords,
 )
-from pgakit.motors import (
+from biquaternion import (
     BQ_BASIS,
     Biquaternion,
+    from_biquaternion,
+    to_biquaternion,
+)
+from pgakit.motors import (
     MultivaluedLogError,
     axis_line,
     exp_bivector,
-    from_biquaternion,
     log_versor,
     motor_from_screw,
     reflect,
@@ -33,7 +36,6 @@ from pgakit.motors import (
     sandwich,
     screw_generator,
     screw_split,
-    to_biquaternion,
     translator,
 )
 
