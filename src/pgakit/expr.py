@@ -139,7 +139,7 @@ UNARY = {"~": operator.invert, "!": lambda x: j_map(x), "-": operator.neg,
 _WORD = re.compile(r"[A-Za-z_]\w*")
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     rf"|(?P<word>{_WORD.pattern})"
     r"|(?P<op>[-+&^|*~!#()<>])"
 )

@@ -5,6 +5,7 @@ import json
 import operator
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -20,6 +21,7 @@ from pgakit import expr as dsl
 from pgakit.cli import SceneError, load_scene, main
 
 SCENES = Path(__file__).parents[1] / "scenes"
+README = Path(__file__).parents[1] / "README.md"
 SRC = Path(__file__).parents[1] / "src"
 
 
@@ -404,8 +406,11 @@ class TestEval:
         ("(" * 3000 + "e1" + ")" * 3000, "expression nests too deeply"),
         ("~" * 3000 + "e1", "expression nests too deeply"),
         (" * ".join(["e1"] * 3000), "expression nests too deeply"),
+        # a number takes ASCII digits only (U+0662 is ARABIC-INDIC TWO)
+        ("\u0662*e1", "line 1, column 1: unexpected character '\u0662'"),
+        ("<e12>\u0662", "line 1, column 6: unexpected character '\u0662'"),
     ], ids=["grade", "long-grade", "grade-past-int", "parentheses", "reverses",
-            "product-chain"])
+            "product-chain", "non-ascii-number", "non-ascii-grade"])
     def test_error_is_one_positioned_line(self, capsys, source, message):
         assert main(["eval", source]) == 1
         captured = capsys.readouterr()
@@ -439,6 +444,9 @@ class TestEval:
     @pytest.mark.parametrize("scene, source", [
         ("perpendicular.json", "P & Pi"), ("perpendicular.json", "Pi"),
         ("cga_points.json", "P"), ("cga_points.json", "P & Q"),
+        # every operator of the language at once
+        ("cga_points.json",
+         "~P + !Q + -P + +Q + P# + (P ^ Q) + (P | Q) + (P & Q) + P * Q"),
     ])
     def test_result_reads_back_as_itself(self, capsys, scene, source):
         argv = ["eval", "--scene", str(SCENES / scene)]
@@ -490,6 +498,8 @@ class TestNestingLimit:
         code, out, _ = _at_depth(
             frames, lambda: self._eval(build(dsl.MAX_DEPTH), capsys))
         assert code == 0 and out
+        if shape == "parentheses":
+            assert out == self._eval("e1", capsys)[1]
         code, out, err = _at_depth(
             frames, lambda: self._eval(build(dsl.MAX_DEPTH + 1), capsys))
         assert code == 1 and out == ""
@@ -502,18 +512,21 @@ class TestNestingLimit:
 
 @pytest.mark.parametrize("scene", sorted(p.name for p in SCENES.glob("*.json")))
 def test_a_repeated_call_prints_the_same_bytes(capsys, scene):
-    """The second in-process call of a command parses its expression from
-    the cache, and prints what the first, uncached call printed."""
+    """Every command exits by the contract on every repo scene, and its
+    second in-process call, which parses its expression from the cache,
+    prints what the first, uncached call printed."""
     path = str(SCENES / scene)
     names = json.loads((SCENES / scene).read_text())["entities"]
     for argv in (["construct", "--scene", path],
                  ["eval", "--scene", path, "e1"],
-                 ["eval", "--scene", path, " & ".join(names) or "e1"]):
+                 ["eval", "--scene", path, " & ".join(names) or "e1"],
+                 ["simulate", "--scene", path, "--steps", "5"]):
         dsl._parsed.cache_clear()
         runs = []
         for _ in range(2):
             code = main(argv)
             runs.append((code, *capsys.readouterr()))
+        assert runs[0][0] in (0, 1, 2) and "Traceback" not in runs[0][2], argv
         assert runs[1] == runs[0], argv
         info = dsl._parsed.cache_info()
         assert info.hits == info.misses <= 1, argv  # none if refused before
@@ -823,8 +836,9 @@ options:
   -h, --help            show this help message and exit
 """, ""),
     # the wording of argparse's list of choices varies across Pythons;
-    # the dispatch test below holds this case to the top-level parser's
+    # the dispatch test below holds these cases to the top-level parser's
     "bogus": (["bogus"], 2, "", None),
+    "bench": (["bench"], 2, "", None),  # a command until it was removed
     "eval": (["eval"], 2, "", EVAL_USAGE + "pgakit eval: error: the"
              " following arguments are required: expression\n"),
     "eval-help": (["eval", "-h"], 0, EVAL_USAGE + """
@@ -906,3 +920,23 @@ class TestUsagePaths:
     def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["pgakit", "eval", "-e1"])
         assert _outcome(capsys) == (0, EVAL_E1, "")
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """Every ```python block of the README runs, all in one namespace, and
+    every ``pgakit`` line of its other blocks exits 0 through ``main``,
+    from a directory under tmp_path, so a file a line writes lands there."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    code = [text for lang, text in blocks if lang == "python"]
+    lines = [line for lang, text in blocks if lang != "python"
+             for line in text.splitlines() if line.startswith("pgakit ")]
+    assert code and lines
+    namespace = {}
+    for text in code:
+        exec(text, namespace)
+    (tmp_path / "scenes").symlink_to(SCENES)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
